@@ -107,7 +107,13 @@ def cmd_solve(args) -> int:
     elif args.alg == "planar-ptas":
         if args.eps is None:
             raise InputError("--eps is required for planar-ptas")
-        result = planar_ptas(formula, Fraction(args.eps))
+        try:
+            eps = Fraction(args.eps)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"--eps {args.eps!r} is not a fraction") from exc
+        if not 0 < eps < 1:
+            raise InputError("--eps must be in (0, 1)")
+        result = planar_ptas(formula, eps)
     elif args.alg == "exact":
         if formula.n > orc.ORACLE_VAR_CAP:
             raise InputError(
@@ -166,7 +172,10 @@ def cmd_partition(args) -> int:
 
 def cmd_hashfam(args) -> int:
     q = args.q or smallest_prime_geq(max(args.n, args.b, 2))
-    spec = HashFamilySpec(n=args.n, k=args.k, a=args.a, b=args.b, q=q)
+    try:
+        spec = HashFamilySpec(n=args.n, k=args.k, a=args.a, b=args.b, q=q)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if spec.size > args.limit:
         raise InputError(
             f"family size {spec.size} exceeds --limit {args.limit}"
@@ -206,7 +215,10 @@ def cmd_gen_planar(args) -> int:
             size = int(args.size)
         except ValueError as exc:
             raise InputError("size must be an integer") from exc
-    formula = gen_planar_instance(args.kind, size, seed=args.seed)
+    try:
+        formula = gen_planar_instance(args.kind, size, seed=args.seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     text = fm.serialize_dimacs(formula)
     if args.out:
         with open(args.out, "w") as fh:
@@ -241,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satmeter",
         description="Space-metered Max-r-SAT approximation toolkit",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (reserved)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

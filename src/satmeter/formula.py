@@ -9,6 +9,7 @@ plain ``{var: 0/1}`` dicts.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,6 +226,25 @@ def incidence_graph(formula: Formula) -> IncidenceGraph:
         clause_vertices=clause_vertices,
         adjacency={v: tuple(nbrs) for v, nbrs in adjacency.items()},
     )
+
+
+def bfs_tree(start, neighbors, allowed=None) -> dict:
+    """Breadth-first search tree from ``start``, the one graph walk.
+
+    Maps every vertex reached to its parent (``start`` to itself), in
+    visiting order, so each parent precedes its children.  ``neighbors[v]``
+    lists v's neighbours: an adjacency dict, or a decomposition's
+    ``children`` tuple.  With ``allowed``, the walk stays inside that set.
+    """
+    parent = {start: start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in neighbors[v]:
+            if w not in parent and (allowed is None or w in allowed):
+                parent[w] = v
+                queue.append(w)
+    return parent
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from satmeter.formula import Assignment
-from satmeter.metering import Stream, tick
+from satmeter.metering import Stream
 
 
 def is_prime(x: int) -> bool:
@@ -112,7 +112,6 @@ def enum_family(spec: HashFamilySpec) -> Stream:
         coeffs = [0] * spec.k
         t = spec.threshold
         while True:
-            tick()
             yield HashFunction(coeffs=tuple(coeffs), q=spec.q, threshold=t)
             # odometer increment, last (constant) coefficient fastest
             pos = spec.k - 1

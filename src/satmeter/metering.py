@@ -24,14 +24,12 @@ class SpaceReport:
     label: str = ""
     peak_aux_cells: int = 0
     pass_counts: dict[str, int] = field(default_factory=dict)
-    wall_ops: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "label": self.label,
             "peak_aux_cells": self.peak_aux_cells,
             "pass_counts": dict(sorted(self.pass_counts.items())),
-            "wall_ops": self.wall_ops,
         }
 
 
@@ -80,12 +78,6 @@ def note_pass(producer: str, count: int = 1) -> None:
         pc[producer] = pc.get(producer, 0) + count
 
 
-def tick(ops: int = 1) -> None:
-    """Record abstract computation steps."""
-    for scope in _state.stack:
-        scope.report.wall_ops += ops
-
-
 @contextmanager
 def tracked(cells: int):
     """Context manager that holds `cells` live for the duration of the body."""
@@ -98,7 +90,7 @@ def tracked(cells: int):
 
 @contextmanager
 def meter_scope(label: str):
-    """Meter allocations, passes and steps attributed inside the body.
+    """Meter allocations and passes attributed inside the body.
 
     Yields the scope; its ``report`` field holds the final SpaceReport once
     the block exits.  Scopes nest: inner allocations count against every

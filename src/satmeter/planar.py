@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from satmeter.formula import (
     Formula,
     IncidenceGraph,
     Vertex,
+    bfs_tree,
     incidence_graph,
 )
 from satmeter.metering import Stream, alloc_cells, free_cells, meter_scope, note_pass, tracked
@@ -48,29 +48,15 @@ def connect_with_dummy(formula: Formula) -> DummyConnection:
     g = incidence_graph(aug)
     adjacency = {v: list(nbrs) for v, nbrs in g.adjacency.items()}
 
-    # one representative clause per connected component of the original graph
+    # one representative clause per connected component of the original
+    # graph: the lowest-indexed clause, since each walk starts at the first
+    # clause not yet seen
     seen: set[Vertex] = set()
-    reps: list[Vertex] = []
-    for j in range(1, formula.m + 1):
-        start = ("C", j)
-        if start in seen:
-            continue
-        rep = start
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            if v[0] == "C" and v[1] < rep[1]:
-                rep = v
-            for w in adjacency[v]:
-                if w not in seen and w != ("x", dummy):
-                    seen.add(w)
-                    queue.append(w)
-        reps.append(rep)
-
     dummy_vertex = ("x", dummy)
-    for rep in reps:
-        if rep not in adjacency[dummy_vertex]:
+    for j in range(1, formula.m + 1):
+        rep = ("C", j)
+        if rep not in seen:
+            seen.update(bfs_tree(rep, adjacency))
             adjacency[dummy_vertex].append(rep)
             adjacency[rep].append(dummy_vertex)
 
@@ -117,14 +103,9 @@ def bfs_levels(graph: IncidenceGraph, root: Vertex) -> BfsLevels:
     with meter_scope("bfs"):
         alloc_cells(contract_cells)
         try:
-            level_of = {root: 1}
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                for w in graph.neighbors(v):
-                    if w not in level_of:
-                        level_of[w] = level_of[v] + 1
-                        queue.append(w)
+            level_of: dict[Vertex, int] = {}
+            for v, p in bfs_tree(root, graph.adjacency).items():
+                level_of[v] = 1 if v == p else level_of[p] + 1
         finally:
             free_cells(contract_cells)
     unreachable_clauses = [
@@ -243,24 +224,17 @@ def partition(formula: Formula, k: int) -> PartitionResult:
             start = ("C", j)
             if start not in kept or start in seen:
                 continue
-            clause_ids: list[int] = []
-            var_ids: set[int] = set()
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                v = queue.popleft()
-                if v[0] == "C":
-                    if v[1] != conn.dummy_clause_index:
-                        clause_ids.append(v[1])
-                elif v[1] != conn.dummy_var:
-                    var_ids.add(v[1])
-                for w in conn.graph.neighbors(v):
-                    if w in kept and w not in seen:
-                        seen.add(w)
-                        queue.append(w)
+            comp = bfs_tree(start, conn.graph.adjacency, allowed=kept)
+            seen.update(comp)
+            clause_ids = sorted(
+                v[1] for v in comp
+                if v[0] == "C" and v[1] != conn.dummy_clause_index
+            )
+            var_ids = {
+                v[1] for v in comp if v[0] == "x" and v[1] != conn.dummy_var
+            }
             if not clause_ids:
                 continue
-            clause_ids.sort()
             parts.append(
                 Formula(
                     n=formula.n,

@@ -11,7 +11,6 @@ PTAS driver stitches these together over the band partition.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,6 +21,7 @@ from satmeter.formula import (
     Formula,
     IncidenceGraph,
     Vertex,
+    bfs_tree,
     eval_assignment,
     incidence_graph,
 )
@@ -48,50 +48,17 @@ class TreeDecomposition:
 
     @property
     def depth(self) -> int:
-        depth = {self.root: 0}
-        best = 0
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for c in self.children[v]:
-                depth[c] = depth[v] + 1
-                best = max(best, depth[c])
-                stack.append(c)
-        return best
+        return max(self.node_depths().values())
 
     @property
     def binary(self) -> bool:
         return all(len(c) <= 2 for c in self.children)
 
     def node_depths(self) -> dict[int, int]:
-        depth = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for c in self.children[v]:
-                depth[c] = depth[v] + 1
-                stack.append(c)
+        depth: dict[int, int] = {}
+        for v, p in bfs_tree(self.root, self.children).items():
+            depth[v] = 0 if v == p else depth[p] + 1
         return depth
-
-
-def _components(vertices: set[Vertex], adj: dict[Vertex, set[Vertex]]) -> list[set[Vertex]]:
-    comps = []
-    seen: set[Vertex] = set()
-    for start in sorted(vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w in vertices and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps
 
 
 def _min_fill_order(vertices: set[Vertex], adj: dict[Vertex, set[Vertex]]):
@@ -137,7 +104,12 @@ def tree_decompose(graph: IncidenceGraph) -> TreeDecomposition:
         return TreeDecomposition(bags=(frozenset(),), children=((),), root=0)
 
     comp_tds: list[tuple[list[frozenset[Vertex]], list[list[int]], int]] = []
-    for comp in _components(vertices, adj):
+    seen: set[Vertex] = set()
+    for start in sorted(vertices):
+        if start in seen:
+            continue
+        comp = set(bfs_tree(start, adj))
+        seen |= comp
         order = list(_min_fill_order(comp, adj))
         bags = [bag for _, bag in order]
         elim_pos = {v: i for i, (v, _) in enumerate(order)}
@@ -175,32 +147,23 @@ def validate_td(
     graph: IncidenceGraph, td: TreeDecomposition
 ) -> tuple[bool, str | None]:
     """Check the three decomposition axioms; returns (ok, witness)."""
-    covered: set[Vertex] = set()
-    occurrences: dict[Vertex, list[int]] = {}
+    occurrences: dict[Vertex, set[int]] = {}
     for node, bag in enumerate(td.bags):
-        covered |= bag
         for v in bag:
-            occurrences.setdefault(v, []).append(node)
-    missing = graph.vertices() - covered
+            occurrences.setdefault(v, set()).add(node)
+    missing = graph.vertices() - occurrences.keys()
     if missing:
         return False, f"vertex {sorted(missing)[0]} in no bag"
     for edge in sorted(graph.edges(), key=sorted):
         u, v = sorted(edge)
-        if not any(u in bag and v in bag for bag in td.bags):
+        if occurrences[u].isdisjoint(occurrences[v]):
             return False, f"edge {u}-{v} in no bag"
     # connected occurrence subtrees: count tree edges inside each vertex's
     # occurrence set; a connected subtree on s nodes has s-1 of them
-    parent: dict[int, int] = {}
-    stack = [td.root]
-    while stack:
-        x = stack.pop()
-        for c in td.children[x]:
-            parent[c] = x
-            stack.append(c)
+    parent = bfs_tree(td.root, td.children)
     for v, nodes in occurrences.items():
-        node_set = set(nodes)
         internal = sum(
-            1 for x in nodes if x != td.root and parent[x] in node_set
+            1 for x in nodes if x != td.root and parent[x] in nodes
         )
         if internal != len(nodes) - 1:
             return False, f"occurrence set of {v} is disconnected"
@@ -216,32 +179,12 @@ def _tree_adjacency(td: TreeDecomposition) -> dict[int, set[int]]:
     return adj
 
 
-def _component_nodes(nodes: set[int], adj: dict[int, set[int]], start: int) -> set[int]:
-    comp = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w in nodes and w not in comp:
-                comp.add(w)
-                queue.append(w)
-    return comp
-
-
 def _tree_path(adj: dict[int, set[int]], nodes: set[int], a: int, b: int) -> list[int]:
-    prev = {a: a}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            break
-        for w in sorted(adj[v]):
-            if w in nodes and w not in prev:
-                prev[w] = v
-                queue.append(w)
+    """The unique path from a to b inside the tree piece ``nodes``."""
+    parent = bfs_tree(a, adj, allowed=nodes)
     path = [b]
     while path[-1] != a:
-        path.append(prev[path[-1]])
+        path.append(parent[path[-1]])
     return path[::-1]
 
 
@@ -280,8 +223,8 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
             worst = 0
             unseen = set(rest)
             while unseen:
-                comp = _component_nodes(rest, adj, min(unseen))
-                unseen -= comp
+                comp = bfs_tree(min(unseen), adj, allowed=rest)
+                unseen.difference_update(comp)
                 worst = max(worst, len(comp))
             if best_worst is None or worst < best_worst:
                 best_worst, best_s = worst, s
@@ -291,7 +234,7 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
         subtree_roots: list[int] = []
         unseen = set(rest)
         while unseen:
-            comp = _component_nodes(rest, adj, min(unseen))
+            comp = set(bfs_tree(min(unseen), adj, allowed=rest))
             unseen -= comp
             sub_boundary = tuple(
                 sorted({b for b in boundary if b in comp}

@@ -188,16 +188,20 @@ def _batched_family_search(
     """
     packed = pack_clauses(Formula(n=spec.n, clauses=tuple(clauses)))
     q = spec.q
-    # chunk the constant-term range so the candidate bit matrix stays small
-    chunk = max(1, 2_000_000 // max(spec.n, 1))
+    # chunk the constant-term range so the candidate bit matrix stays small;
+    # chunks start at one row and double, so an early hit evaluates few rows
+    max_chunk = max(1, 2_000_000 // max(spec.n, 1))
+    chunk = 1
     best_count = -1
     best_coeffs: tuple[int, ...] | None = None
     best_index = -1
     scanned = 0
     for block_no, high in enumerate(itertools.product(range(q), repeat=spec.k - 1)):
         block_base = block_no * q
-        for c0_start in range(0, q, chunk):
-            c0_stop = min(c0_start + chunk, q)
+        c0_stop = 0
+        while c0_stop < q:
+            c0_start, c0_stop = c0_stop, min(c0_stop + chunk, q)
+            chunk = min(2 * chunk, max_chunk)
             bits = batch_assignments(spec, high, c0_start, c0_stop)
             counts = packed.count_satisfied(bits)
             hits = np.flatnonzero(accept(counts))

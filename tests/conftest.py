@@ -1,10 +1,10 @@
 """Shared corpus generators for the test suite.
 
-Generators emit formulas with pairwise-distinct clauses: the 2-satisfiable
-transform reads duplicated complementary unit clauses at their literal
-count, which is exactly the accounting ambiguity the pipeline does not
-promise to resolve, so the corpus stays inside the no-duplicates contract
-that ``Formula`` itself enforces.
+Generators emit formulas with pairwise-distinct clauses.  ``Formula`` does
+not enforce that: it keeps duplicate clauses and counts them with
+multiplicity.  The 2-satisfiable transform collapses duplicated unit clauses
+into one, so ``ls_solve`` can miss its 0.618 bound on such formulas (a known
+defect), and this corpus does not exercise them.
 """
 
 from __future__ import annotations

@@ -127,3 +127,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
     ok.write_text(TRI)
     assert main(["solve", "--alg", "planar-ptas", str(ok)]) == 2  # no --eps
     assert main(["partition", "--k", "1", str(ok)]) == 2
+    for eps in ("2", "abc", "1/0"):
+        assert main(["solve", "--alg", "planar-ptas", "--eps", eps, str(ok)]) == 2
+    assert main(["gen-planar", "--kind", "grid", "--size", "0x5"]) == 2
+    assert main(["gen-planar", "--kind", "chain", "--size", "1"]) == 2
+    hashfam = ["hashfam", "--k", "2", "--a", "1", "--b", "2"]
+    assert main(hashfam + ["--n", "1"]) == 2  # n < k
+    assert main(hashfam + ["--n", "3", "--q", "4"]) == 2  # q not prime

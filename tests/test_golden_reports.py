@@ -1,0 +1,74 @@
+"""Golden `satmeter solve` reports: every field but `timestamp` must match.
+
+``golden_reports.json`` pins the assignment, count, search details and
+metered space (peak cells, pass counts) of a few small instances under every
+algorithm, so a refactor that moves any of them fails here.  When a change
+alters reports on purpose, regenerate the file with
+``PYTHONPATH=src python tests/test_golden_reports.py`` and say why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from conftest import random_formula
+from satmeter.cli import main
+from satmeter.formula import serialize_dimacs
+from satmeter.planar import gen_planar_instance
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+INSTANCES = {
+    "chain12-seed4": lambda: gen_planar_instance("chain", 12, seed=4),
+    "grid4x4": lambda: gen_planar_instance("grid", (4, 4), seed=0),
+    "random-n12-m40-r3": lambda: random_formula(
+        random.Random(12), n=12, m=40, r=3
+    ),
+}
+
+CASES = [
+    *(("chain12-seed4", alg, None) for alg in ("half", "ls", "chou", "exact")),
+    ("chain12-seed4", "planar-ptas", "1/3"),
+    ("grid4x4", "planar-ptas", "1/4"),
+    *(("random-n12-m40-r3", alg, None) for alg in ("half", "ls", "chou", "exact")),
+]
+
+
+def case_id(case) -> str:
+    return " ".join(part for part in case if part)
+
+
+def solve_report(case, workdir: Path) -> dict:
+    name, alg, eps = case
+    path = workdir / f"{name}.cnf"
+    path.write_text(serialize_dimacs(INSTANCES[name]()))
+    argv = ["solve", "--alg", alg] + (["--eps", eps] if eps else []) + [str(path)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    report = json.loads(out.getvalue())
+    report.pop("timestamp")
+    return report
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_solve_report_matches_golden(case, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    report = solve_report(case, tmp_path)
+    assert json.dumps(report, sort_keys=True) == json.dumps(
+        golden[case_id(case)], sort_keys=True
+    )
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = {case_id(c): solve_report(c, Path(tmp)) for c in CASES}
+    GOLDEN.write_text(json.dumps(reports, sort_keys=True, indent=1) + "\n")

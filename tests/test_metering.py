@@ -8,7 +8,6 @@ from satmeter.metering import (
     free_cells,
     meter_scope,
     note_pass,
-    tick,
     tracked,
 )
 
@@ -76,14 +75,12 @@ def test_empty_stream_still_counts_a_pass():
     assert sc.report.pass_counts == {"E": 1}
 
 
-def test_note_pass_and_tick_aggregate():
+def test_note_pass_aggregates():
     with meter_scope("outer") as outer:
         with meter_scope("inner") as inner:
             note_pass("p", 3)
-            tick(7)
     assert outer.report.pass_counts == {"p": 3}
     assert inner.report.pass_counts == {"p": 3}
-    assert outer.report.wall_ops == 7
 
 
 def test_report_as_dict_shape():
@@ -91,5 +88,5 @@ def test_report_as_dict_shape():
         with tracked(1):
             pass
     d = sc.report.as_dict()
-    assert set(d) == {"label", "peak_aux_cells", "pass_counts", "wall_ops"}
+    assert set(d) == {"label", "peak_aux_cells", "pass_counts"}
     assert d["label"] == "lbl"
