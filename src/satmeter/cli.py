@@ -71,7 +71,7 @@ def _emit(report: dict) -> None:
 
 
 def _solve_report(formula: fm.Formula, algorithm: str, result: SolveResult,
-                  with_oracle: bool) -> dict:
+                  opt: int | None) -> dict:
     recount = fm.eval_assignment(formula, result.assignment)
     if recount != result.count:
         raise AssertionError(
@@ -89,8 +89,7 @@ def _solve_report(formula: fm.Formula, algorithm: str, result: SolveResult,
     )
     if result.report is not None:
         report["space"] = result.report.as_dict()
-    if with_oracle:
-        opt, _ = orc.exact_maxsat(formula)
+    if opt is not None:
         report["opt"] = opt
         report["ratio"] = (result.count / opt) if opt else 1.0
     return report
@@ -123,11 +122,17 @@ def cmd_solve(args) -> int:
         result = SolveResult(assignment=phi, count=opt, details={})
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown algorithm {args.alg}")
-    if args.oracle and formula.n > orc.ORACLE_VAR_CAP:
-        raise InputError(
-            f"--oracle: n={formula.n} exceeds cap {orc.ORACLE_VAR_CAP}"
-        )
-    _emit(_solve_report(formula, args.alg, result, args.oracle))
+    opt = None
+    if args.oracle:
+        if formula.n > orc.ORACLE_VAR_CAP:
+            raise InputError(
+                f"--oracle: n={formula.n} exceeds cap {orc.ORACLE_VAR_CAP}"
+            )
+        if args.alg == "exact":
+            opt = result.count  # already OPT
+        else:
+            opt, _ = orc.exact_maxsat(formula)
+    _emit(_solve_report(formula, args.alg, result, opt))
     return EXIT_OK
 
 

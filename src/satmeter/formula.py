@@ -150,20 +150,16 @@ def parse_assignment(text: str) -> Assignment:
     return phi
 
 
-def literal_true(lit: int, phi: Assignment) -> bool:
-    value = phi[abs(lit)]
-    return bool(value) if lit > 0 else not value
-
-
 def eval_assignment(formula: Formula, phi: Assignment) -> int:
     """Number of clauses satisfied by the total assignment `phi`."""
-    for var in range(1, formula.n + 1):
-        if var not in phi:
-            raise FormulaError(f"assignment is partial: variable {var} unset")
+    missing = set(range(1, formula.n + 1)) - phi.keys()
+    if missing:
+        raise FormulaError(
+            f"assignment is partial: variable {min(missing)} unset"
+        )
+    true_lits = {var if value else -var for var, value in phi.items()}
     return sum(
-        1
-        for clause in formula.clauses
-        if any(literal_true(lit, phi) for lit in clause)
+        not true_lits.isdisjoint(clause) for clause in formula.clauses
     )
 
 

@@ -1,7 +1,13 @@
 """Ground-truth engines: brute-force Max-SAT and analytic expectations.
 
-``exact_maxsat`` enumerates all 2^n assignments (vectorized, capped at
-n <= 26) and defines OPT for every ratio check in the test suite.
+``exact_maxsat`` enumerates all 2^n assignments (capped at n <= 26) and
+defines OPT for every ratio check in the test suite.  It counts clause by
+clause over bit columns: one boolean column per variable over a block of at
+most 2^20 rows, each clause the OR of its literal columns, added into a
+``uint16`` count (``uint32`` once m >= 2^16).  For n > 20 the top n - 20
+variables index the blocks; inside a block they are constants, so a clause
+is either satisfied outright or loses those literals, and memory stays flat
+in n.
 ``expected_satisfied`` computes the exact rational expectation of the
 satisfied-clause count under independent p-biased variables; for clauses of
 width <= k it coincides with the average over any enumerated k-universal
@@ -14,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from satmeter.formula import Assignment, Formula, pack_clauses
+from satmeter.formula import Assignment, Formula
 
 ORACLE_VAR_CAP = 26
 _BLOCK_BITS = 20  # enumerate assignments in blocks of 2^20 rows
@@ -30,6 +36,32 @@ def _mask_to_assignment(mask: int, n: int) -> Assignment:
     return {i: (mask >> (n - i)) & 1 for i in range(1, n + 1)}
 
 
+def _restrict(
+    formula: Formula, block: int, high: int
+) -> tuple[int, list[list[int]]]:
+    """Fix x1..x_high to the bits of ``block`` (x1 most significant).
+
+    Returns the number of clauses a fixed literal satisfies and the other
+    clauses, reduced to their free literals.  Clauses left with no literal
+    are unsatisfied and dropped.
+    """
+    const = 0
+    reduced = []
+    for clause in formula.clauses:
+        free = []
+        for lit in clause:
+            var = abs(lit)
+            if var > high:
+                free.append(lit)
+            elif (block >> (high - var)) & 1 == (lit > 0):
+                const += 1
+                break
+        else:
+            if free:
+                reduced.append(free)
+    return const, reduced
+
+
 def exact_maxsat(formula: Formula) -> tuple[int, Assignment]:
     """(OPT, witness); ties broken by lexicographically smallest witness."""
     n = formula.n
@@ -37,19 +69,37 @@ def exact_maxsat(formula: Formula) -> tuple[int, Assignment]:
         raise OracleCapError(f"n={n} exceeds oracle cap {ORACLE_VAR_CAP}")
     if formula.m == 0:
         return 0, {i: 0 for i in range(1, n + 1)}
-    packed = pack_clauses(formula)
+    low = min(n, _BLOCK_BITS)
+    high = n - low
+    columns: dict[int, np.ndarray] = {}  # literal -> its truth over the rows
+
+    def column(lit: int) -> np.ndarray:
+        if lit not in columns:
+            # the variable's bit is 0 on the first `half` rows of every
+            # 2 * half and 1 on the rest
+            half = 1 << (n - abs(lit))
+            col = np.zeros(((1 << low) // (2 * half), 2, half), dtype=bool)
+            col[:, int(lit > 0)] = True
+            columns[lit] = col.reshape(-1)
+        return columns[lit]
+
+    dtype = np.uint16 if formula.m < 1 << 16 else np.uint32  # counts <= m
+    counts = np.empty(1 << low, dtype=dtype)
+    sat = np.empty(1 << low, dtype=bool)
     best_count = -1
     best_mask = 0
-    block = 1 << min(n, _BLOCK_BITS)
-    bit_cols = np.arange(n - 1, -1, -1, dtype=np.uint32)  # x1 is MSB
-    for start in range(0, 1 << n, block):
-        masks = np.arange(start, start + block, dtype=np.uint32)
-        assigns = (masks[:, None] >> bit_cols[None, :]) & 1
-        counts = packed.count_satisfied(assigns)
-        idx = int(np.argmax(counts))
-        if counts[idx] > best_count:
-            best_count = int(counts[idx])
-            best_mask = start + idx
+    for block in range(1 << high):  # ascending blocks: ascending masks
+        const, reduced = _restrict(formula, block, high)
+        counts.fill(0)
+        for clause in reduced:
+            np.copyto(sat, column(clause[0]))
+            for lit in clause[1:]:
+                sat |= column(lit)
+            counts += sat
+        idx = int(np.argmax(counts))  # first maximum: smallest mask
+        count = const + int(counts[idx])
+        if count > best_count:
+            best_count, best_mask = count, (block << low) | idx
     return best_count, _mask_to_assignment(best_mask, n)
 
 

@@ -179,15 +179,6 @@ def _tree_adjacency(td: TreeDecomposition) -> dict[int, set[int]]:
     return adj
 
 
-def _tree_path(adj: dict[int, set[int]], nodes: set[int], a: int, b: int) -> list[int]:
-    """The unique path from a to b inside the tree piece ``nodes``."""
-    parent = bfs_tree(a, adj, allowed=nodes)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    return path[::-1]
-
-
 def rebalance(td: TreeDecomposition) -> TreeDecomposition:
     """Binary, log-depth rebuild; bag sizes grow at most threefold.
 
@@ -212,23 +203,29 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
         if len(nodes) == 1:
             (only,) = nodes
             return emit(td.bags[only] | bbag)
-        if len(boundary) == 2:
-            candidates = _tree_path(adj, nodes, boundary[0], boundary[1])
+        # root the piece once; removing s leaves its children's subtrees
+        # and, above s, the rest of the piece
+        top = boundary[0] if len(boundary) == 2 else min(nodes)
+        parent = bfs_tree(top, adj, allowed=nodes)
+        size = dict.fromkeys(parent, 1)
+        largest_child = dict.fromkeys(parent, 0)
+        for v in reversed(parent):  # children before their parents
+            if v != top:
+                p = parent[v]
+                size[p] += size[v]
+                largest_child[p] = max(largest_child[p], size[v])
+        if len(boundary) == 2:  # the path from boundary[0] to boundary[1]
+            candidates = [boundary[1]]
+            while candidates[-1] != top:
+                candidates.append(parent[candidates[-1]])
+            candidates.reverse()
         else:
             candidates = sorted(nodes)
-        best_s = None
-        best_worst = None
-        for s in candidates:
-            rest = nodes - {s}
-            worst = 0
-            unseen = set(rest)
-            while unseen:
-                comp = bfs_tree(min(unseen), adj, allowed=rest)
-                unseen.difference_update(comp)
-                worst = max(worst, len(comp))
-            if best_worst is None or worst < best_worst:
-                best_worst, best_s = worst, s
-        s = best_s
+        # the first candidate whose largest leftover component is smallest
+        s = min(
+            candidates,
+            key=lambda c: max(largest_child[c], len(nodes) - size[c]),
+        )
         root = emit(td.bags[s] | bbag)
         rest = nodes - {s}
         subtree_roots: list[int] = []

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from satmeter import oracle as orc
 from satmeter.cli import main
 
 TRI = "p cnf 2 3\n1 2 0\n-1 0\n2 0\n"
@@ -38,6 +39,22 @@ def test_solve_ls_with_oracle(capsys, tri_path):
     assert rep["ratio"] == 1.0
     assert rep["schema_version"] == 1
     assert rep["instance"]["n"] == 2 and rep["instance"]["m"] == 3
+
+
+def test_solve_exact_with_oracle_runs_oracle_once(
+    capsys, monkeypatch, tri_path
+):
+    calls = []
+    exact = orc.exact_maxsat
+    monkeypatch.setattr(
+        orc, "exact_maxsat", lambda f: calls.append(f) or exact(f)
+    )
+    code, rep = run_json(
+        capsys, ["solve", "--alg", "exact", "--oracle", tri_path]
+    )
+    assert code == 0
+    assert (rep["satisfied"], rep["opt"], rep["ratio"]) == (3, 3, 1.0)
+    assert len(calls) == 1
 
 
 def test_solve_half_pair(capsys, pair_path):

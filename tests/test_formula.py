@@ -83,6 +83,12 @@ def test_eval_partial_assignment_rejected():
         eval_assignment(f, {1: 1})
 
 
+def test_eval_partial_names_smallest_unset_variable():
+    f = Formula(n=5, clauses=((1, 2),))
+    with pytest.raises(FormulaError, match="variable 2 unset"):
+        eval_assignment(f, {1: 1, 3: 0, 5: 1})
+
+
 def test_histogram_examples():
     f = Formula(n=2, clauses=((1, 2), (-1,), (2,)))
     assert clause_histogram(f) == {1: 2, 2: 1}

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satmeter import oracle
 from satmeter.formula import Formula, eval_assignment
 from satmeter.hashfam import HashFamilySpec, assignment_from_hash, enum_family
 from satmeter.oracle import (
@@ -87,3 +88,46 @@ def test_expectation_matches_family_average(n, m, seed):
         assert Fraction(total, size) == expected_satisfied(
             f, Fraction(spec.threshold, q)
         )
+
+
+def _reference_maxsat(f):
+    """(OPT, lex-smallest witness) by plain enumeration."""
+    best, witness = -1, None
+    for bits in itertools.product((0, 1), repeat=f.n):
+        phi = dict(zip(range(1, f.n + 1), bits))
+        c = eval_assignment(f, phi)
+        if c > best:
+            best, witness = c, phi
+    return best, witness
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 10),
+    st.lists(st.integers(0, 2**16), min_size=1, max_size=12),
+    st.integers(0, 2**30),
+)
+def test_oracle_counts_duplicate_clauses(n, m, picks, seed):
+    base = random_formula(random.Random(seed), n, m, min(3, n))
+    extra = tuple(base.clauses[i % base.m] for i in picks)
+    f = Formula(n=n, clauses=base.clauses + extra)
+    assert exact_maxsat(f) == _reference_maxsat(f)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_oracle_block_split(monkeypatch, n):
+    """Blocks of 2^3 rows: the top n-3 variables are fixed per block."""
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", 3)
+    rng = random.Random(n)
+    for _ in range(6):
+        f = random_formula(rng, n, rng.randint(1, 4 * n), 3)
+        assert exact_maxsat(f) == _reference_maxsat(f)
+    # a tie across blocks: the witness comes from the first block
+    tie = Formula(n=n, clauses=((1,), (-1,)))
+    assert exact_maxsat(tie) == (1, {i: 0 for i in range(1, n + 1)})
+
+
+def test_oracle_count_does_not_wrap():
+    f = Formula(n=2, clauses=((1,),) * 70_000)
+    assert exact_maxsat(f) == (70_000, {1: 1, 2: 0})
