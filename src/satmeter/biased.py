@@ -21,14 +21,16 @@ from satmeter.formula import (
     clause_histogram,
     eval_assignment,
 )
-from satmeter.hashfam import HashFamilySpec, field_size_for
-from satmeter.metering import Stream, meter_scope, note_pass, tracked
-from satmeter.twosat import (
+from satmeter.hashfam import (
     DEFAULT_SCAN_CAP,
+    HashFamilySpec,
     SearchOutcome,
-    SolveResult,
-    _batched_family_search,
+    assignment_from_hash,
+    family_search,
+    field_size_for,
 )
+from satmeter.metering import Stream, meter_scope, note_pass, tracked
+from satmeter.twosat import SolveResult
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,10 @@ def chou_search(
 ) -> SearchOutcome:
     """r-wise family search over the positively-biased formula.
 
-    Family parameters a = ceil(m - b_F), b = ceil(2m - 4 b_F); accepts the
-    first candidate reaching the expectation target minus the threshold
-    rounding slack m*r/(2q).
+    Family parameters a = ceil(m - b_F), b = ceil(2m - 4 b_F); the family
+    thresholds at t = round(q p) for the clamped marginal p, realized as the
+    spec a = t, b = q; accepts the first candidate reaching the expectation
+    target minus the threshold rounding slack m*r/(2q).
     """
     m = fprime.m
     n = fprime.n
@@ -166,26 +169,14 @@ def chou_search(
     def accept(counts: np.ndarray) -> np.ndarray:
         return counts >= threshold
 
-    outcome = _batched_family_search(
-        _spec_with_threshold(n, k, min(a, b), b, q, t),
-        list(fprime.clauses),
+    return family_search(
+        HashFamilySpec(n=n, k=k, a=t, b=q, q=q),
+        fprime,
         accept,
-        scan_cap,
+        f"c >= ceil({float(target):.4f} - {float(slack):.4f}) = {threshold}",
         "posbias",
+        scan_cap,
     )
-    outcome.threshold_desc = f"c >= ceil({float(target):.4f} - {float(slack):.4f}) = {threshold}"
-    return outcome
-
-
-def _spec_with_threshold(n, k, a, b, q, t) -> HashFamilySpec:
-    """Family spec whose threshold is pinned to t (clamped marginal)."""
-
-    class _Pinned(HashFamilySpec):
-        @property
-        def threshold(self) -> int:
-            return t
-
-    return _Pinned(n=n, k=k, a=a, b=b, q=q)
 
 
 def chou_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResult:
@@ -210,9 +201,7 @@ def chou_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResul
                 with tracked(max(formula.r, 1)):  # candidate coefficients
                     outcome = chou_search(fprime, profile, scan_cap=scan_cap)
                 branch = "family-search"
-                candidate = {
-                    i: outcome.function.bit(i) for i in range(1, formula.n + 1)
-                }
+                candidate = assignment_from_hash(outcome.function, formula.n)
                 ones = all_const_assignment(formula.n, 1)
                 note_pass("posbias", 2)
                 c_cand = eval_assignment(fprime, candidate)
@@ -231,14 +220,5 @@ def chou_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResul
         "neg_vars": sorted(profile.neg_vars),
     }
     if outcome is not None:
-        details.update(
-            {
-                "threshold": outcome.threshold_desc,
-                "family_index": outcome.family_index,
-                "family_size": outcome.family_size,
-                "q": outcome.q,
-                "fallback": outcome.fallback,
-                "search_count": outcome.count,
-            }
-        )
+        details.update(outcome.details())
     return SolveResult(assignment=phi, count=count, details=details, report=sc.report)

@@ -7,6 +7,7 @@ Reports are deterministic for fixed inputs apart from the timestamp field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -254,6 +255,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing does not change the parser; build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satmeter",

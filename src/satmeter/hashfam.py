@@ -5,17 +5,27 @@ field GF(q), thresholded to {0,1}.  For any k distinct points of [n] the
 evaluation vector is uniform over [0,q)^k, so the thresholded bits are k-wise
 independent with marginal t/q, where t = round(q*a/b) approximates the target
 marginal a/b to within 1/(2q).
+
+``family_search`` is the derandomized search both the 0.618 and the
+sqrt(2)/2 solvers run: walk the family in enumeration order and stop at the
+first candidate whose satisfied-clause count passes the solver's test.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from satmeter.formula import Assignment
-from satmeter.metering import Stream
+from satmeter.formula import Assignment, Formula, pack_clauses
+from satmeter.metering import Stream, note_pass
+
+# Scan budget for the family search.  The threshold candidate is found within
+# the first few coefficient blocks on every instance class we generate; the
+# cap only guards against pathological full-family fallbacks on large fields.
+DEFAULT_SCAN_CAP = 5_000_000
 
 
 def is_prime(x: int) -> bool:
@@ -157,3 +167,89 @@ def batch_assignments(
     c0 = np.arange(c0_start, c0_stop, dtype=np.int64)
     evals = (acc[None, :] + c0[:, None]) % q
     return evals < t
+
+
+def _candidate_chunks(
+    spec: HashFamilySpec,
+) -> Iterator[tuple[tuple[int, ...], int, np.ndarray]]:
+    """(high_coeffs, c0_start, bits) chunks covering the family in order.
+
+    Chunks start at one row and double up to 2_000_000 // n rows, the size
+    carried across blocks, so an early hit evaluates few rows and the
+    candidate bit matrix stays small.
+    """
+    max_chunk = max(1, 2_000_000 // spec.n)
+    chunk = 1
+    for high in itertools.product(range(spec.q), repeat=spec.k - 1):
+        c0 = 0
+        while c0 < spec.q:
+            stop = min(c0 + chunk, spec.q)
+            yield high, c0, batch_assignments(spec, high, c0, stop)
+            c0, chunk = stop, min(2 * chunk, max_chunk)
+
+
+@dataclass(frozen=True)
+class SearchOutcome:
+    """A family search's pick; ``function`` is None only for an empty one."""
+
+    function: HashFunction | None
+    count: int
+    family_index: int
+    fallback: bool
+    scanned: int
+    family_size: int
+    q: int
+    threshold_desc: str
+
+    def details(self) -> dict[str, Any]:
+        """The search fields of a solver report."""
+        return {
+            "threshold": self.threshold_desc,
+            "family_index": self.family_index,
+            "family_size": self.family_size,
+            "q": self.q,
+            "fallback": self.fallback,
+            "search_count": self.count,
+        }
+
+
+def family_search(
+    spec: HashFamilySpec,
+    formula: Formula,
+    accept: Callable[[np.ndarray], np.ndarray],
+    threshold_desc: str,
+    stream_label: str,
+    scan_cap: int,
+) -> SearchOutcome:
+    """First candidate in enumeration order that ``accept`` passes.
+
+    ``accept(counts) -> bool mask`` tests each candidate's satisfied-clause
+    count on ``formula``.  If none passes before the family ends or the scan
+    reaches ``scan_cap`` (checked after each chunk), the first maximum over
+    the scanned candidates is returned with ``fallback`` set.  Every scanned
+    candidate is charged one pass over ``stream_label``.
+    """
+    packed = pack_clauses(formula)
+    best_count, best_index, best_coeffs = -1, -1, ()
+    scanned = 0  # also the family index of the chunk's first row
+    for high, c0, bits in _candidate_chunks(spec):
+        counts = packed.count_satisfied(bits)
+        hits = np.flatnonzero(accept(counts))
+        row = int(hits[0]) if hits.size else int(np.argmax(counts))
+        if hits.size or counts[row] > best_count:
+            best_count, best_index = int(counts[row]), scanned + row
+            best_coeffs = high + (c0 + row,)
+        scanned += row + 1 if hits.size else len(counts)
+        if hits.size or scanned >= scan_cap:
+            break
+    note_pass(stream_label, scanned)
+    return SearchOutcome(
+        function=HashFunction(best_coeffs, spec.q, spec.threshold),
+        count=best_count,
+        family_index=best_index,
+        fallback=not hits.size,
+        scanned=scanned,
+        family_size=spec.size,
+        q=spec.q,
+        threshold_desc=threshold_desc,
+    )

@@ -78,9 +78,9 @@ def exact_maxsat(formula: Formula) -> tuple[int, Assignment]:
             # the variable's bit is 0 on the first `half` rows of every
             # 2 * half and 1 on the rest
             half = 1 << (n - abs(lit))
-            col = np.zeros(((1 << low) // (2 * half), 2, half), dtype=bool)
-            col[:, int(lit > 0)] = True
-            columns[lit] = col.reshape(-1)
+            period = np.zeros((2, half), dtype=bool)
+            period[int(lit > 0)] = True
+            columns[lit] = np.tile(period.reshape(-1), (1 << low) // (2 * half))
         return columns[lit]
 
     dtype = np.uint16 if formula.m < 1 << 16 else np.uint32  # counts <= m

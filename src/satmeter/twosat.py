@@ -21,9 +21,12 @@ from satmeter.formula import (
     pack_clauses,
 )
 from satmeter.hashfam import (
+    DEFAULT_SCAN_CAP,
     HashFamilySpec,
     HashFunction,
-    batch_assignments,
+    SearchOutcome,
+    assignment_from_hash,
+    family_search,
     field_size_for,
 )
 from satmeter.metering import (
@@ -36,14 +39,7 @@ from satmeter.metering import (
 
 import numpy as np
 
-import itertools
-
 LS_NUM, LS_DEN = 618, 1000
-
-# Scan budget for the family search.  The threshold candidate is found within
-# the first few coefficient blocks on every instance class we generate; the
-# cap only guards against pathological full-family fallbacks on large fields.
-DEFAULT_SCAN_CAP = 5_000_000
 
 NEG_MARKER = "#NEG"
 
@@ -160,118 +156,32 @@ def to_two_satisfiable(formula: Formula) -> TwoSatStream:
     )
 
 
-@dataclass
-class SearchOutcome:
-    function: HashFunction | None
-    count: int
-    family_index: int
-    fallback: bool
-    scanned: int
-    family_size: int
-    q: int
-    threshold_desc: str
-
-
-def _batched_family_search(
-    spec: HashFamilySpec,
-    clauses: list[tuple[int, ...]],
-    accept,
-    scan_cap: int,
-    stream_label: str,
-) -> SearchOutcome:
-    """Scan the family in enumeration order, vectorized per constant-term
-    block, returning the first accepted candidate or the best seen.
-
-    ``accept(counts) -> bool mask`` decides acceptance per candidate.  Pass
-    counts over the scanned clause stream are recorded per candidate
-    examined.
-    """
-    packed = pack_clauses(Formula(n=spec.n, clauses=tuple(clauses)))
-    q = spec.q
-    # chunk the constant-term range so the candidate bit matrix stays small;
-    # chunks start at one row and double, so an early hit evaluates few rows
-    max_chunk = max(1, 2_000_000 // max(spec.n, 1))
-    chunk = 1
-    best_count = -1
-    best_coeffs: tuple[int, ...] | None = None
-    best_index = -1
-    scanned = 0
-    for block_no, high in enumerate(itertools.product(range(q), repeat=spec.k - 1)):
-        block_base = block_no * q
-        c0_stop = 0
-        while c0_stop < q:
-            c0_start, c0_stop = c0_stop, min(c0_stop + chunk, q)
-            chunk = min(2 * chunk, max_chunk)
-            bits = batch_assignments(spec, high, c0_start, c0_stop)
-            counts = packed.count_satisfied(bits)
-            hits = np.flatnonzero(accept(counts))
-            if hits.size:
-                row = int(hits[0])
-                note_pass(stream_label, row + 1)
-                coeffs = high + (c0_start + row,)
-                return SearchOutcome(
-                    function=HashFunction(coeffs, q, spec.threshold),
-                    count=int(counts[row]),
-                    family_index=block_base + c0_start + row,
-                    fallback=False,
-                    scanned=scanned + row + 1,
-                    family_size=spec.size,
-                    q=q,
-                    threshold_desc="",
-                )
-            note_pass(stream_label, c0_stop - c0_start)
-            row = int(np.argmax(counts))
-            if int(counts[row]) > best_count:
-                best_count = int(counts[row])
-                best_coeffs = high + (c0_start + row,)
-                best_index = block_base + c0_start + row
-            scanned += c0_stop - c0_start
-            if scanned >= scan_cap:
-                break
-        else:
-            continue
-        break
-    assert best_coeffs is not None
-    return SearchOutcome(
-        function=HashFunction(best_coeffs, q, spec.threshold),
-        count=best_count,
-        family_index=best_index,
-        fallback=True,
-        scanned=scanned,
-        family_size=spec.size,
-        q=q,
-        threshold_desc="",
-    )
-
-
 def ls_search(
     ts: TwoSatStream, scan_cap: int = DEFAULT_SCAN_CAP
 ) -> SearchOutcome:
     """Search Univ(n, 2, 618, 1000) for a candidate with c > 0.618 m'."""
-    clauses = ts.clauses()
-    m_prime = len(clauses)
-    n = ts.source.n
-    r = max((len(c) for c in clauses), default=1)
+    formula = ts.formula()
+    m_prime, n = formula.m, formula.n
 
     if m_prime == 0 or n == 0:
         return SearchOutcome(None, 0, -1, False, 0, 0, 0, "empty")
     if n < 2:
         # Family needs n >= k = 2; a single variable has only two assignments.
-        packed = pack_clauses(Formula(n=max(n, 1), clauses=tuple(clauses)))
+        packed = pack_clauses(formula)
         counts = packed.count_satisfied(np.array([[0], [1]], dtype=np.int64))
         pick = 1 if counts[1] >= counts[0] else 0
         f = HashFunction((0, 0), 2, 2 if pick else 0)  # constant function
         return SearchOutcome(f, int(counts[pick]), pick, False, 2, 2, 2, "tiny")
 
-    q = field_size_for(n, LS_DEN, m_prime, r)
+    q = field_size_for(n, LS_DEN, m_prime, formula.r)
     spec = HashFamilySpec(n=n, k=2, a=LS_NUM, b=LS_DEN, q=q)
 
     def accept(counts: np.ndarray) -> np.ndarray:
         return counts * LS_DEN > LS_NUM * m_prime
 
-    outcome = _batched_family_search(spec, clauses, accept, scan_cap, "twosat")
-    outcome.threshold_desc = f"c > {LS_NUM}/{LS_DEN} * {m_prime}"
-    return outcome
+    return family_search(
+        spec, formula, accept, f"c > {LS_NUM}/{LS_DEN} * {m_prime}", "twosat", scan_cap
+    )
 
 
 def ls_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResult:
@@ -283,25 +193,17 @@ def ls_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResult:
             with tracked(2):  # candidate coefficient pair
                 outcome = ls_search(ts, scan_cap=scan_cap)
             flipped = ts.flipped_vars()
-            phi_prime: Assignment = {}
-            for var in range(1, formula.n + 1):
-                if outcome.function is None:
-                    v = 1  # unset by the search: default to 1
-                else:
-                    v = outcome.function.bit(var)
-                phi_prime[var] = 1 - v if var in flipped else v
+            if outcome.function is None:  # unset by the search: default to 1
+                phi = all_const_assignment(formula.n, 1)
+            else:
+                phi = assignment_from_hash(outcome.function, formula.n)
+            phi_prime: Assignment = {
+                var: 1 - v if var in flipped else v for var, v in phi.items()
+            }
             count = eval_assignment(formula, phi_prime)
     return SolveResult(
         assignment=phi_prime,
         count=count,
-        details={
-            "m_prime": m_prime,
-            "threshold": outcome.threshold_desc,
-            "family_index": outcome.family_index,
-            "family_size": outcome.family_size,
-            "q": outcome.q,
-            "fallback": outcome.fallback,
-            "search_count": outcome.count,
-        },
+        details={"m_prime": m_prime, **outcome.details()},
         report=sc.report,
     )

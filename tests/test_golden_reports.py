@@ -31,6 +31,10 @@ INSTANCES = {
     "random-n12-m40-r3": lambda: random_formula(
         random.Random(12), n=12, m=40, r=3
     ),
+    # chou's clamped regime: a = ceil(m - b_F) = 11 > b = ceil(2m - 4 b_F) = 10
+    "random-n8-m16-r3": lambda: random_formula(
+        random.Random(120), n=8, m=16, r=3
+    ),
 }
 
 CASES = [
@@ -38,6 +42,7 @@ CASES = [
     ("chain12-seed4", "planar-ptas", "1/3"),
     ("grid4x4", "planar-ptas", "1/4"),
     *(("random-n12-m40-r3", alg, None) for alg in ("half", "ls", "chou", "exact")),
+    *(("random-n8-m16-r3", alg, None) for alg in ("ls", "chou")),
 ]
 
 

@@ -1,21 +1,25 @@
 """Hash families: primes, thresholds, enumeration, independence."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from satmeter.formula import Formula, eval_assignment
 from satmeter.hashfam import (
     HashFamilySpec,
     HashFunction,
     assignment_from_hash,
     batch_assignments,
     enum_family,
+    family_search,
     field_size_for,
     is_prime,
     smallest_prime_geq,
 )
+from satmeter.metering import meter_scope
 
 
 def test_smallest_prime_examples():
@@ -148,3 +152,47 @@ def test_batch_chunking_matches_full_block():
         batch_assignments(spec, (2,), s, min(s + 3, 7)) for s in (0, 3, 6)
     ]
     assert np.array_equal(np.concatenate(parts, axis=0), full)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([5, 7, 11]),
+    st.integers(1, 3),
+    st.sampled_from([1, 2, 3, 7, 10**9]),
+    st.integers(0, 2**20),
+)
+def test_family_search_matches_plain_scan(q, k, scan_cap, seed):
+    rng = random.Random(seed)
+    n = rng.randint(k, q)
+    spec = HashFamilySpec(n=n, k=k, a=rng.randint(1, q), b=q, q=q)
+    clauses = []
+    for _ in range(rng.randint(1, 12)):
+        vs = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    clauses += rng.choices(clauses, k=rng.randint(0, 3))  # duplicates count
+    formula = Formula(n=n, clauses=tuple(clauses))
+    threshold = rng.randint(0, formula.m + 1)  # m + 1 accepts nothing
+
+    with meter_scope("search") as sc:
+        out = family_search(
+            spec, formula, lambda c: c >= threshold, "test", "clauses", scan_cap
+        )
+    fams = list(enum_family(spec).scan())
+    counts = [eval_assignment(formula, assignment_from_hash(f, n)) for f in fams]
+    first = next((i for i, c in enumerate(counts) if c >= threshold), None)
+
+    assert sc.report.pass_counts == {"clauses": out.scanned}
+    if out.fallback:
+        # nothing scanned passes, and the scan stopped only at the family's
+        # end or in the chunk (at most one block of q rows) reaching the cap
+        assert first is None or first >= out.scanned
+        assert min(scan_cap, spec.size) <= out.scanned <= spec.size
+        assert out.scanned < scan_cap + q
+        seen = counts[: out.scanned]
+        assert out.family_index == seen.index(max(seen))
+    else:
+        assert out.family_index == first
+        assert out.scanned == first + 1
+    assert out.function == fams[out.family_index]
+    assert out.count == counts[out.family_index]
+    assert (out.family_size, out.q, out.threshold_desc) == (spec.size, q, "test")
