@@ -6,6 +6,14 @@ decomposition into a rooted binary one of logarithmic depth with bag size at
 most tripled, and ``bdtw_maxsat`` recursively enumerates bag-variable
 extensions to compute an exact optimum with a witnessing assignment.  The
 PTAS driver stitches these together over the band partition.
+
+The DP is the paper's recompute-everything recursion: every extension of a
+frame re-solves every child subtree, which keeps its space to the frames on
+one root-to-leaf path.  Which variables each node extends, the clauses it
+owns and its extension patterns are fixed by the tree, so they are compiled
+into a per-node plan once per ``bdtw_maxsat`` call.  Metering contract: one
+frame is one ``decomposition`` pass, and a frame's cells are live while it
+and the frames below it on the recursion path run.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from satmeter.formula import (
     eval_assignment,
     incidence_graph,
 )
-from satmeter.metering import meter_scope, note_pass, tracked
+from satmeter.metering import alloc_cells, free_cells, meter_scope, note_pass
 from satmeter.planar import partition, verify_partition
 from satmeter.twosat import SolveResult
 
@@ -276,24 +284,17 @@ def _clause_owners(td: TreeDecomposition) -> dict[int, list[int]]:
     return owners
 
 
-def bdtw_maxsat(
-    td: TreeDecomposition, formula: Formula
-) -> tuple[int, Assignment]:
-    """Exact maximum satisfied-clause count plus witnessing assignment.
+def _compile_plan(
+    td: TreeDecomposition, formula: Formula, owners: dict[int, list[int]]
+) -> list[tuple[int, tuple, tuple, tuple[int, ...]]]:
+    """Per node: (cell charge, owned clauses, extension patterns, children).
 
-    Recursive DP over the rooted bag tree: each frame enumerates extensions
-    of the inherited partial assignment over its bag's variables (plus the
-    variables of the clauses it owns), scores the clauses owned at the node,
-    and adds the children's optima.  Each clause is owned by the unique
-    shallowest bag containing its vertex, so sibling values add without
-    double counting.  Ties go to the lexicographically smallest extension.
+    A frame's inherited assignment always covers the union of its ancestors'
+    frame variables, so the new variables a frame extends are fixed by the
+    tree.  Owned clauses become ``(var, wanted_bit)`` pairs, and so does
+    each extension pattern, listed in ``product((0, 1), ...)`` order over
+    the new variables.
     """
-    graph = incidence_graph(formula)
-    ok, witness = validate_td(graph, td)
-    if not ok:
-        raise ValueError(f"invalid tree decomposition: {witness}")
-    owners = _clause_owners(td)
-
     frame_vars: list[tuple[int, ...]] = []
     for node, bag in enumerate(td.bags):
         varset = {v[1] for v in bag if v[0] == "x"}
@@ -301,35 +302,105 @@ def bdtw_maxsat(
             varset.update(abs(lit) for lit in formula.clauses[j - 1])
         frame_vars.append(tuple(sorted(varset)))
 
-    def solve(node: int, psi: dict[int, int]) -> tuple[int, dict[int, int]]:
-        new_vars = tuple(v for v in frame_vars[node] if v not in psi)
-        owned = owners.get(node, ())
-        with tracked(len(new_vars) + len(frame_vars[node]) + 3):
-            note_pass("decomposition")
-            best_val = -1
-            best_ext: dict[int, int] = {}
-            for bits in product((0, 1), repeat=len(new_vars)):
-                ext = dict(zip(new_vars, bits))
-                local = psi | ext
-                val = 0
-                for j in owned:
-                    for lit in formula.clauses[j - 1]:
-                        v = local[abs(lit)]
-                        if (v == 1) == (lit > 0):
-                            val += 1
-                            break
-                child_ext: dict[int, int] = {}
-                for child in td.children[node]:
-                    cval, cext = solve(child, local)
-                    val += cval
-                    child_ext |= cext
-                if val > best_val:
-                    best_val = val
-                    best_ext = ext | child_ext
-            return best_val, best_ext
+    inherited: dict[int, frozenset[int]] = {}
+    plan: list = [None] * td.num_nodes
+    for node, parent in bfs_tree(td.root, td.children).items():
+        domain = (
+            frozenset() if node == parent
+            else inherited[parent].union(frame_vars[parent])
+        )
+        inherited[node] = domain
+        new = tuple(v for v in frame_vars[node] if v not in domain)
+        owned = tuple(
+            tuple((abs(lit), int(lit > 0)) for lit in formula.clauses[j - 1])
+            for j in owners.get(node, ())
+        )
+        plan[node] = (
+            len(new) + len(frame_vars[node]) + 3,
+            owned,
+            tuple(
+                tuple(zip(new, bits))
+                for bits in product((0, 1), repeat=len(new))
+            ),
+            td.children[node],
+        )
+    return plan
+
+
+def bdtw_maxsat(
+    td: TreeDecomposition, formula: Formula
+) -> tuple[int, Assignment]:
+    """Exact maximum satisfied-clause count plus witnessing assignment.
+
+    The paper's recompute-everything DP over the rooted bag tree: each frame
+    enumerates extensions of the inherited partial assignment over its bag's
+    variables (plus the variables of the clauses it owns), scores the
+    clauses owned at the node, and re-solves every child for every
+    extension.  Each clause is owned by the unique shallowest bag containing
+    its vertex, so sibling values add without double counting.  Ties go to
+    the lexicographically smallest extension.
+
+    The per-node plan (new variables, owned clauses, extension patterns) is
+    compiled once per call; frames write into one shared value list and keep
+    their best extension as a ``(pattern, child witnesses)`` pair that
+    becomes an assignment only at the root.
+
+    Metering: one frame is one ``decomposition`` pass, and a frame holds
+    ``len(new) + len(frame vars) + 3`` cells while it and its descendants
+    run, so the live cells are those of the frames on the recursion path.
+    Frames and the peak live cells are counted as the recursion runs and
+    declared once, inside the ``bdtw`` scope, when the root returns.
+    """
+    graph = incidence_graph(formula)
+    ok, witness = validate_td(graph, td)
+    if not ok:
+        raise ValueError(f"invalid tree decomposition: {witness}")
+    plan = _compile_plan(td, formula, _clause_owners(td))
+    value = [0] * (formula.n + 1)
+    frames = live = peak = 0
+
+    def solve(node: int) -> tuple[int, tuple]:
+        nonlocal frames, live, peak
+        charge, owned, patterns, children = plan[node]
+        frames += 1
+        live += charge
+        if live > peak:
+            peak = live
+        best_val = -1
+        best: tuple = ()
+        for pattern in patterns:
+            for v, b in pattern:
+                value[v] = b
+            val = 0
+            for clause in owned:
+                for v, want in clause:
+                    if value[v] == want:
+                        val += 1
+                        break
+            witnesses = []
+            for child in children:
+                cval, cwit = solve(child)
+                val += cval
+                witnesses.append(cwit)
+            if val > best_val:
+                best_val = val
+                best = (pattern, witnesses)
+        live -= charge
+        return best_val, best
+
+    def unfold(node: int, wit: tuple, ext: dict[int, int]) -> None:
+        pattern, witnesses = wit
+        ext.update(pattern)
+        for child, cwit in zip(td.children[node], witnesses):
+            unfold(child, cwit, ext)
 
     with meter_scope("bdtw"):
-        val, ext = solve(td.root, {})
+        val, wit = solve(td.root)
+        note_pass("decomposition", frames)
+        alloc_cells(peak)
+        free_cells(peak)
+    ext: dict[int, int] = {}
+    unfold(td.root, wit, ext)
     phi = {i: ext.get(i, 0) for i in range(1, formula.n + 1)}
     return val, phi
 

@@ -28,6 +28,10 @@ GOLDEN = Path(__file__).with_name("golden_reports.json")
 INSTANCES = {
     "chain12-seed4": lambda: gen_planar_instance("chain", 12, seed=4),
     "grid4x4": lambda: gen_planar_instance("grid", (4, 4), seed=0),
+    # one part, 94,849 DP frames: pins the DP's peak cells and frame count
+    "grid5x6": lambda: gen_planar_instance("grid", (5, 6), seed=0),
+    # nine parts at k = 10: per-part witnesses merged across parts
+    "tree300-seed2": lambda: gen_planar_instance("tree", 300, seed=2),
     "random-n12-m40-r3": lambda: random_formula(
         random.Random(12), n=12, m=40, r=3
     ),
@@ -41,6 +45,8 @@ CASES = [
     *(("chain12-seed4", alg, None) for alg in ("half", "ls", "chou", "exact")),
     ("chain12-seed4", "planar-ptas", "1/3"),
     ("grid4x4", "planar-ptas", "1/4"),
+    ("grid5x6", "planar-ptas", "1/4"),
+    ("tree300-seed2", "planar-ptas", "1/5"),
     *(("random-n12-m40-r3", alg, None) for alg in ("half", "ls", "chou", "exact")),
     *(("random-n8-m16-r3", alg, None) for alg in ("ls", "chou")),
 ]

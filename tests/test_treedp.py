@@ -3,10 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satmeter.formula import Formula, eval_assignment, incidence_graph
+from satmeter.metering import meter_scope, note_pass, tracked
 from satmeter.oracle import exact_maxsat
 from satmeter.planar import gen_planar_instance
 from satmeter.treedp import (
@@ -190,3 +193,166 @@ def test_ptas_k_is_ceil_two_over_eps():
     f = gen_planar_instance("chain", 6, seed=0)
     assert planar_ptas(f, Fraction(1, 3)).details["k"] == 6
     assert planar_ptas(f, Fraction(2, 5)).details["k"] == 5
+
+
+# --- the recompute DP against its per-frame reference, and its meter ------
+
+
+def _frames_of(td, formula):
+    """Walk order, parent, owned clauses, frame and new variables per node.
+
+    Computed from the tree alone: a clause is owned by the shallowest bag
+    holding its vertex, a frame's variables are its bag's variables plus
+    those of its owned clauses, and its new variables are those that no
+    ancestor's frame holds.
+    """
+    order, parent = [td.root], {td.root: None}
+    for node in order:
+        for child in td.children[node]:
+            parent[child] = node
+            order.append(child)
+    owner = {}
+    for node in order:  # breadth first: the first bag seen is the shallowest
+        for kind, j in sorted(td.bags[node]):
+            if kind == "C":
+                owner.setdefault(j, node)
+    owned = {node: sorted(j for j, o in owner.items() if o == node) for node in order}
+    frame, new, above = {}, {}, {td.root: set()}
+    for node in order:
+        frame[node] = {i for kind, i in td.bags[node] if kind == "x"}
+        for j in owned[node]:
+            frame[node].update(abs(lit) for lit in formula.clauses[j - 1])
+        new[node] = frame[node] - above[node]
+        for child in td.children[node]:
+            above[child] = above[node] | frame[node]
+    return order, parent, owned, frame, new
+
+
+def _reference_bdtw(td, formula):
+    """The DP before its plan was compiled: a ``psi | ext`` dict per
+    extension, a ``tracked`` scope and a ``note_pass`` per frame."""
+    assert validate_td(incidence_graph(formula), td)[0]
+    _, _, owners, frame, _ = _frames_of(td, formula)
+    frame_vars = {node: tuple(sorted(vs)) for node, vs in frame.items()}
+
+    def solve(node, psi):
+        new_vars = tuple(v for v in frame_vars[node] if v not in psi)
+        with tracked(len(new_vars) + len(frame_vars[node]) + 3):
+            note_pass("decomposition")
+            best_val = -1
+            best_ext = {}
+            for bits in product((0, 1), repeat=len(new_vars)):
+                ext = dict(zip(new_vars, bits))
+                local = psi | ext
+                val = 0
+                for j in owners[node]:
+                    for lit in formula.clauses[j - 1]:
+                        v = local[abs(lit)]
+                        if (v == 1) == (lit > 0):
+                            val += 1
+                            break
+                child_ext = {}
+                for child in td.children[node]:
+                    cval, cext = solve(child, local)
+                    val += cval
+                    child_ext |= cext
+                if val > best_val:
+                    best_val = val
+                    best_ext = ext | child_ext
+            return best_val, best_ext
+
+    with meter_scope("bdtw"):
+        val, ext = solve(td.root, {})
+    return val, {i: ext.get(i, 0) for i in range(1, formula.n + 1)}
+
+
+def _metered(dp, td, formula):
+    with meter_scope("outer") as sc:
+        val, phi = dp(td, formula)
+    return (val, phi), sc.report.peak_aux_cells, sc.report.pass_counts
+
+
+def _assert_dp_contract(td, formula):
+    got = _metered(bdtw_maxsat, td, formula)
+    assert got == _metered(_reference_bdtw, td, formula)
+    # the meter: the outer scope opens with no live cells, so its peak and
+    # passes are those of the bdtw scope
+    order, parent, _, frame, new = _frames_of(td, formula)
+    path_cells, calls = {}, {}
+    for node in order:
+        up = parent[node]
+        cells = len(new[node]) + len(frame[node]) + 3
+        path_cells[node] = cells + (path_cells[up] if up is not None else 0)
+        calls[node] = 1 if up is None else calls[up] << len(new[up])
+    _, peak, passes = got
+    assert peak == max(path_cells.values())
+    assert passes == {"decomposition": sum(calls.values())}
+
+
+def _with_duplicates(rng, f, copies):
+    extra = tuple(rng.choice(f.clauses) for _ in range(copies)) if f.m else ()
+    return Formula(n=f.n, clauses=f.clauses + extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(0, 14),
+    st.integers(0, 4),
+    st.integers(0, 2**30),
+)
+def test_bdtw_matches_per_frame_reference_random(n, m, copies, seed):
+    rng = random.Random(seed)
+    f = _with_duplicates(rng, random_formula(rng, n, m, min(3, n)), copies)
+    td = tree_decompose(incidence_graph(f))
+    _assert_dp_contract(td, f)
+    _assert_dp_contract(rebalance(td), f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("chain"), st.integers(2, 14)),
+        st.tuples(st.just("tree"), st.integers(2, 14)),
+        st.tuples(
+            st.just("grid"), st.tuples(st.integers(2, 3), st.integers(2, 4))
+        ),
+    ),
+    st.integers(0, 2**30),
+)
+def test_bdtw_matches_per_frame_reference_planar(shape, seed):
+    kind, size = shape
+    f = gen_planar_instance(kind, size, seed=seed)
+    td = tree_decompose(incidence_graph(f))
+    _assert_dp_contract(td, f)
+    _assert_dp_contract(rebalance(td), f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([1, -1]), min_size=6, max_size=6), st.integers(0, 3))
+def test_bdtw_matches_per_frame_reference_three_children(signs, copies):
+    # root {x1, C4} with three children; C1 is owned above x2's only bag,
+    # so x2 is new at node 1 and node 4 extends nothing
+    a, b, c, d, e, g = signs
+    clauses = ((a * 1, b * 2), (c * 1, 3), (-1, d * 4), (e * 1,), (g * 4,))
+    f = Formula(n=4, clauses=clauses + clauses[:copies])
+    bags = [
+        {("x", 1), ("C", 4)},
+        {("x", 1), ("C", 1)},
+        {("x", 1), ("x", 3), ("C", 2)},
+        {("x", 1), ("x", 4), ("C", 3)},
+        {("C", 1), ("x", 2)},
+        {("x", 4), ("C", 5)},
+    ]
+    for j in range(1, copies + 1):  # clause 5 + j duplicates clause j
+        for bag in bags:
+            if ("C", j) in bag:
+                bag.add(("C", 5 + j))
+    td = TreeDecomposition(
+        bags=tuple(map(frozenset, bags)),
+        children=((1, 2, 3), (4,), (), (5,), (), ()),
+        root=0,
+    )
+    assert validate_td(incidence_graph(f), td)[0]
+    _assert_dp_contract(td, f)
+    _assert_dp_contract(rebalance(td), f)
