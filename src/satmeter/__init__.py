@@ -9,7 +9,6 @@ for end-to-end verification.
 from satmeter.formula import (
     Assignment,
     Formula,
-    IncidenceGraph,
     clause_histogram,
     eval_assignment,
     incidence_graph,
@@ -21,7 +20,6 @@ from satmeter.metering import SpaceReport, Stream, meter_scope
 __all__ = [
     "Assignment",
     "Formula",
-    "IncidenceGraph",
     "SpaceReport",
     "Stream",
     "clause_histogram",

@@ -1,6 +1,7 @@
 """Batch front door: parse, solve, partition, audit; JSON reports out.
 
-Exit codes: 0 success, 2 input error, 3 internal invariant violation.
+Exit codes: 0 success, 2 input error (a formula over the oracle's variable
+cap is one), 3 internal invariant violation.
 Reports are deterministic for fixed inputs apart from the timestamp field.
 """
 
@@ -115,20 +116,12 @@ def cmd_solve(args) -> int:
             raise InputError("--eps must be in (0, 1)")
         result = planar_ptas(formula, eps)
     elif args.alg == "exact":
-        if formula.n > orc.ORACLE_VAR_CAP:
-            raise InputError(
-                f"n={formula.n} exceeds exact-solver cap {orc.ORACLE_VAR_CAP}"
-            )
         opt, phi = orc.exact_maxsat(formula)
         result = SolveResult(assignment=phi, count=opt, details={})
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown algorithm {args.alg}")
     opt = None
     if args.oracle:
-        if formula.n > orc.ORACLE_VAR_CAP:
-            raise InputError(
-                f"--oracle: n={formula.n} exceeds cap {orc.ORACLE_VAR_CAP}"
-            )
         if args.alg == "exact":
             opt = result.count  # already OPT
         else:
@@ -236,10 +229,6 @@ def cmd_gen_planar(args) -> int:
 
 def cmd_oracle(args) -> int:
     formula = _read_formula(args.file)
-    if formula.n > orc.ORACLE_VAR_CAP:
-        raise InputError(
-            f"n={formula.n} exceeds oracle cap {orc.ORACLE_VAR_CAP}"
-        )
     start = time.perf_counter()
     opt, phi = orc.exact_maxsat(formula)
     elapsed = time.perf_counter() - start
@@ -317,7 +306,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, orc.OracleCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ZeroDivisionError, AssertionError) as exc:

@@ -3,14 +3,15 @@
 Literals are signed integers in DIMACS convention (``3`` is the variable
 ``x3``, ``-3`` its negation).  Clauses are tuples of literals; a ``Formula``
 is an immutable ordered clause list over variables ``1..n``.  Assignments are
-plain ``{var: 0/1}`` dicts.
+plain ``{var: 0/1}`` dicts.  The incidence graph is a plain adjacency dict
+over ``("x", i)`` and ``("C", j)`` vertices, the mapping ``bfs_tree`` walks.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,48 +181,21 @@ def clause_histogram(formula: Formula) -> dict[int, int]:
 Vertex = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class IncidenceGraph:
-    """Bipartite variable-clause incidence graph of a formula."""
+def incidence_graph(formula: Formula) -> dict[Vertex, list[Vertex]]:
+    """Bipartite variable-clause incidence graph as an adjacency dict.
 
-    var_vertices: frozenset[Vertex]
-    clause_vertices: frozenset[Vertex]
-    adjacency: dict[Vertex, tuple[Vertex, ...]] = field(hash=False)
-
-    def vertices(self) -> set[Vertex]:
-        return set(self.var_vertices) | set(self.clause_vertices)
-
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        return self.adjacency.get(v, ())
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
-
-    def edges(self) -> set[frozenset[Vertex]]:
-        return {
-            frozenset((u, v))
-            for u, nbrs in self.adjacency.items()
-            for v in nbrs
-        }
-
-
-def incidence_graph(formula: Formula) -> IncidenceGraph:
-    var_vertices = frozenset(("x", i) for i in range(1, formula.n + 1))
-    clause_vertices = frozenset(("C", j) for j in range(1, formula.m + 1))
-    adjacency: dict[Vertex, list[Vertex]] = {v: [] for v in var_vertices}
+    Every variable is a key, then every clause.  A clause lists its
+    variables in literal order; a variable lists its clauses in index order.
+    """
+    graph: dict[Vertex, list[Vertex]] = {
+        ("x", i): [] for i in range(1, formula.n + 1)
+    }
     for j, clause in enumerate(formula.clauses, start=1):
         cv = ("C", j)
-        adjacency[cv] = []
-        for lit in clause:
-            xv = ("x", abs(lit))
-            adjacency[cv].append(xv)
-            adjacency[xv].append(cv)
-    return IncidenceGraph(
-        var_vertices=var_vertices,
-        clause_vertices=clause_vertices,
-        adjacency={v: tuple(nbrs) for v, nbrs in adjacency.items()},
-    )
+        graph[cv] = [("x", abs(lit)) for lit in clause]
+        for xv in graph[cv]:
+            graph[xv].append(cv)
+    return graph
 
 
 def bfs_tree(start, neighbors, allowed=None) -> dict:

@@ -15,61 +15,46 @@ import math
 import random
 from dataclasses import dataclass
 
-from satmeter.formula import (
-    Formula,
-    IncidenceGraph,
-    Vertex,
-    bfs_tree,
-    incidence_graph,
-)
+from satmeter.formula import Formula, Vertex, bfs_tree, incidence_graph
 from satmeter.metering import Stream, alloc_cells, free_cells, meter_scope, note_pass, tracked
 
 
 @dataclass(frozen=True)
 class DummyConnection:
-    """Augmented formula and incidence graph with the connecting dummy var."""
+    """Incidence graph connected through a dummy variable vertex."""
 
-    formula: Formula  # original clauses plus the unit clause (-dummy_var)
-    graph: IncidenceGraph
+    graph: dict[Vertex, list[Vertex]]
     dummy_var: int
-    dummy_clause_index: int  # 1-based index of the (-dummy_var) clause
+    dummy_clause_index: int  # 1-based index of the (-dummy_var) clause vertex
 
 
 def connect_with_dummy(formula: Formula) -> DummyConnection:
     """Add a dummy variable adjacent to one clause per connected component.
 
-    The dummy edges exist only in the incidence graph; the clause list gains
-    just the unit clause (-dummy) so assignments of the augmented formula
-    restrict to assignments of the original.  Variable-only components have
-    no clauses to lose or keep and stay unconnected.
+    Only the incidence graph changes: it gains the dummy variable, the
+    vertex ("C", m + 1) of the unit clause (-dummy) and the dummy edges.
+    Variable-only components have no clauses to lose or keep and stay
+    unconnected.
     """
     dummy = formula.n + 1
-    aug = Formula(n=dummy, clauses=formula.clauses + ((-dummy,),))
-    g = incidence_graph(aug)
-    adjacency = {v: list(nbrs) for v, nbrs in g.adjacency.items()}
+    dummy_vertex, dummy_clause = ("x", dummy), ("C", formula.m + 1)
+    graph = incidence_graph(formula)
+    graph[dummy_vertex] = [dummy_clause]
+    graph[dummy_clause] = [dummy_vertex]
 
     # one representative clause per connected component of the original
     # graph: the lowest-indexed clause, since each walk starts at the first
     # clause not yet seen
     seen: set[Vertex] = set()
-    dummy_vertex = ("x", dummy)
     for j in range(1, formula.m + 1):
         rep = ("C", j)
         if rep not in seen:
-            seen.update(bfs_tree(rep, adjacency))
-            adjacency[dummy_vertex].append(rep)
-            adjacency[rep].append(dummy_vertex)
+            seen.update(bfs_tree(rep, graph))
+            graph[dummy_vertex].append(rep)
+            graph[rep].append(dummy_vertex)
 
-    graph = IncidenceGraph(
-        var_vertices=g.var_vertices,
-        clause_vertices=g.clause_vertices,
-        adjacency={v: tuple(nbrs) for v, nbrs in adjacency.items()},
-    )
     return DummyConnection(
-        formula=aug,
-        graph=graph,
-        dummy_var=dummy,
-        dummy_clause_index=formula.m + 1,
+        graph=graph, dummy_var=dummy, dummy_clause_index=formula.m + 1
     )
 
 
@@ -90,26 +75,26 @@ class BfsLevels:
         return levels
 
 
-def bfs_levels(graph: IncidenceGraph, root: Vertex) -> BfsLevels:
+def bfs_levels(graph: dict[Vertex, list[Vertex]], root: Vertex) -> BfsLevels:
     """BFS leveling of the incidence graph from `root`.
 
     Stands in for a sublinear-space planar BFS with the same output
     contract; the metered charge is that contract's sqrt(V)*log(V) cells,
     not the queue the stand-in actually uses.
     """
-    num_vertices = max(len(graph.vertices()), 2)
+    num_vertices = max(len(graph), 2)
     contract_cells = math.isqrt(num_vertices - 1) + 1
     contract_cells *= max(1, math.ceil(math.log2(num_vertices)))
     with meter_scope("bfs"):
         alloc_cells(contract_cells)
         try:
             level_of: dict[Vertex, int] = {}
-            for v, p in bfs_tree(root, graph.adjacency).items():
+            for v, p in bfs_tree(root, graph).items():
                 level_of[v] = 1 if v == p else level_of[p] + 1
         finally:
             free_cells(contract_cells)
     unreachable_clauses = [
-        v for v in graph.clause_vertices if v not in level_of
+        v for v in graph if v[0] == "C" and v not in level_of
     ]
     if unreachable_clauses:
         raise ValueError(
@@ -123,13 +108,18 @@ def bfs_levels(graph: IncidenceGraph, root: Vertex) -> BfsLevels:
 
 @dataclass(frozen=True)
 class DeletionBand:
-    """The cheapest residue class of level triples."""
+    """The cheapest residue class of level triples.
+
+    ``residue_losses`` lists |C(W_i)| for the first min(k, d/2 + 2)
+    residues.  Triples run over j = 0..d/2, so every later residue is empty
+    (loss 0) and residue d/2 + 1 already stands for all of them.
+    """
 
     k: int
     chosen_i: int
     band_vertices: frozenset[Vertex]
     clause_loss: int  # original clause vertices in the band
-    residue_losses: tuple[int, ...]  # |C(W_i)| for every residue
+    residue_losses: tuple[int, ...]
 
 
 def _triple_indices(depth: int) -> range:
@@ -160,12 +150,12 @@ def choose_deletion_band(
 
     with tracked(2 * k + 4):  # per-residue counters plus loop registers
         note_pass("bfs", k)
-        losses = [0] * k
+        losses = [0] * min(k, d // 2 + 2)
         for j in _triple_indices(d):
             for lvl in (2 * j, 2 * j + 1, 2 * j + 2):
                 if 1 <= lvl <= d and lvl % 2 == 0:
                     losses[j % k] += clause_count(lvl)
-        chosen = min(range(k), key=lambda i: (losses[i], i))
+        chosen = min(range(len(losses)), key=lambda i: (losses[i], i))
 
     band: set[Vertex] = set()
     for j in _triple_indices(d):
@@ -224,7 +214,7 @@ def partition(formula: Formula, k: int) -> PartitionResult:
             start = ("C", j)
             if start not in kept or start in seen:
                 continue
-            comp = bfs_tree(start, conn.graph.adjacency, allowed=kept)
+            comp = bfs_tree(start, conn.graph, allowed=kept)
             seen.update(comp)
             clause_ids = sorted(
                 v[1] for v in comp
@@ -330,12 +320,15 @@ def verify_partition(
 
 
 def planarity_sanity(formula: Formula) -> bool:
-    """Euler bound for bipartite planar graphs: |E| <= 2|V| - 4."""
-    g = incidence_graph(formula)
+    """Euler bound for bipartite planar graphs: |E| <= 2|V| - 4.
+
+    The incidence graph has one edge per literal, so |E| is the sum of the
+    clause widths.
+    """
     vertices = formula.n + formula.m
     if vertices < 3:
         return True
-    return g.num_edges <= 2 * vertices - 4
+    return sum(len(c) for c in formula.clauses) <= 2 * vertices - 4
 
 
 def gen_planar_instance(kind: str, size, seed: int = 0) -> Formula:

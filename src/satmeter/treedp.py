@@ -1,11 +1,13 @@
 """Tree decompositions and the exact bounded-width Max-SAT DP.
 
-``tree_decompose`` runs min-fill elimination (no optimality promise, widths
-stay small on layer-bounded parts), ``rebalance`` rebuilds any valid
-decomposition into a rooted binary one of logarithmic depth with bag size at
-most tripled, and ``bdtw_maxsat`` recursively enumerates bag-variable
-extensions to compute an exact optimum with a witnessing assignment.  The
-PTAS driver stitches these together over the band partition.
+``tree_decompose`` runs min-fill elimination on the incidence adjacency dict
+(no optimality promise, widths stay small on layer-bounded parts),
+``validate_td`` checks a decomposition against the formula's clauses,
+``rebalance`` rebuilds any valid decomposition into a rooted binary one of
+logarithmic depth with bag size at most tripled, and ``bdtw_maxsat``
+recursively enumerates bag-variable extensions to compute an exact optimum
+with a witnessing assignment.  The PTAS driver stitches these together over
+the band partition.
 
 The DP is the paper's recompute-everything recursion: every extension of a
 frame re-solves every child subtree, which keeps its space to the frames on
@@ -27,7 +29,6 @@ from typing import Any
 from satmeter.formula import (
     Assignment,
     Formula,
-    IncidenceGraph,
     Vertex,
     bfs_tree,
     eval_assignment,
@@ -56,23 +57,21 @@ class TreeDecomposition:
 
     @property
     def depth(self) -> int:
-        return max(self.node_depths().values())
+        depth: dict[int, int] = {}
+        for v, p in bfs_tree(self.root, self.children).items():
+            depth[v] = 0 if v == p else depth[p] + 1
+        return max(depth.values())
 
     @property
     def binary(self) -> bool:
         return all(len(c) <= 2 for c in self.children)
 
-    def node_depths(self) -> dict[int, int]:
-        depth: dict[int, int] = {}
-        for v, p in bfs_tree(self.root, self.children).items():
-            depth[v] = 0 if v == p else depth[p] + 1
-        return depth
 
-
-def _min_fill_order(vertices: set[Vertex], adj: dict[Vertex, set[Vertex]]):
-    """Min-fill elimination; yields (vertex, bag) pairs, deterministic ties."""
-    work = {v: set(adj[v]) & vertices for v in vertices}
-    remaining = set(vertices)
+def _min_fill_order(component: set[Vertex], graph: dict[Vertex, list[Vertex]]):
+    """Min-fill elimination of one connected component of ``graph``; yields
+    (vertex, bag) pairs, deterministic ties."""
+    work = {v: set(graph[v]) for v in component}
+    remaining = set(component)
     while remaining:
         best_v = None
         best_fill = None
@@ -100,25 +99,23 @@ def _min_fill_order(vertices: set[Vertex], adj: dict[Vertex, set[Vertex]]):
         remaining.discard(best_v)
 
 
-def tree_decompose(graph: IncidenceGraph) -> TreeDecomposition:
+def tree_decompose(graph: dict[Vertex, list[Vertex]]) -> TreeDecomposition:
     """Valid (heuristic-width) decomposition via min-fill elimination.
 
     Disconnected graphs get per-component decompositions joined under an
     empty root bag.
     """
-    vertices = graph.vertices()
-    adj = {v: set(graph.neighbors(v)) for v in vertices}
-    if not vertices:
+    if not graph:
         return TreeDecomposition(bags=(frozenset(),), children=((),), root=0)
 
     comp_tds: list[tuple[list[frozenset[Vertex]], list[list[int]], int]] = []
     seen: set[Vertex] = set()
-    for start in sorted(vertices):
+    for start in sorted(graph):
         if start in seen:
             continue
-        comp = set(bfs_tree(start, adj))
+        comp = set(bfs_tree(start, graph))
         seen |= comp
-        order = list(_min_fill_order(comp, adj))
+        order = list(_min_fill_order(comp, graph))
         bags = [bag for _, bag in order]
         elim_pos = {v: i for i, (v, _) in enumerate(order)}
         children: list[list[int]] = [[] for _ in bags]
@@ -152,20 +149,28 @@ def tree_decompose(graph: IncidenceGraph) -> TreeDecomposition:
 
 
 def validate_td(
-    graph: IncidenceGraph, td: TreeDecomposition
+    formula: Formula, td: TreeDecomposition
 ) -> tuple[bool, str | None]:
-    """Check the three decomposition axioms; returns (ok, witness)."""
+    """Check the three decomposition axioms against the formula's incidence
+    graph; returns (ok, witness).
+
+    Vertices are checked clauses first, then variables, and edges clause by
+    clause, each clause's variables in ascending order.
+    """
     occurrences: dict[Vertex, set[int]] = {}
     for node, bag in enumerate(td.bags):
         for v in bag:
             occurrences.setdefault(v, set()).add(node)
-    missing = graph.vertices() - occurrences.keys()
-    if missing:
-        return False, f"vertex {sorted(missing)[0]} in no bag"
-    for edge in sorted(graph.edges(), key=sorted):
-        u, v = sorted(edge)
-        if occurrences[u].isdisjoint(occurrences[v]):
-            return False, f"edge {u}-{v} in no bag"
+    for v in [("C", j) for j in range(1, formula.m + 1)] + [
+        ("x", i) for i in range(1, formula.n + 1)
+    ]:
+        if v not in occurrences:
+            return False, f"vertex {v} in no bag"
+    for j, clause in enumerate(formula.clauses, start=1):
+        u = ("C", j)
+        for v in sorted(("x", abs(lit)) for lit in clause):
+            if occurrences[u].isdisjoint(occurrences[v]):
+                return False, f"edge {u}-{v} in no bag"
     # connected occurrence subtrees: count tree edges inside each vertex's
     # occurrence set; a connected subtree on s nodes has s-1 of them
     parent = bfs_tree(td.root, td.children)
@@ -265,46 +270,35 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
     )
 
 
-def _clause_owners(td: TreeDecomposition) -> dict[int, list[int]]:
-    """node -> clause indices owned there (shallowest bag containing them)."""
-    depths = td.node_depths()
-    shallowest: dict[int, int] = {}
-    for node, bag in enumerate(td.bags):
-        for v in bag:
-            if v[0] != "C":
-                continue
-            j = v[1]
-            if j not in shallowest or depths[node] < depths[shallowest[j]]:
-                shallowest[j] = node
-    owners: dict[int, list[int]] = {}
-    for j, node in shallowest.items():
-        owners.setdefault(node, []).append(j)
-    for lst in owners.values():
-        lst.sort()
-    return owners
-
-
 def _compile_plan(
-    td: TreeDecomposition, formula: Formula, owners: dict[int, list[int]]
+    td: TreeDecomposition, formula: Formula
 ) -> list[tuple[int, tuple, tuple, tuple[int, ...]]]:
     """Per node: (cell charge, owned clauses, extension patterns, children).
 
-    A frame's inherited assignment always covers the union of its ancestors'
-    frame variables, so the new variables a frame extends are fixed by the
-    tree.  Owned clauses become ``(var, wanted_bit)`` pairs, and so does
-    each extension pattern, listed in ``product((0, 1), ...)`` order over
-    the new variables.
+    One walk from the root, parents before children.  A clause is owned by
+    the first bag on the walk that holds its vertex: in a valid
+    decomposition its occurrence set is a subtree, so that bag is the unique
+    shallowest one.  A frame's variables are its bag's variables plus those
+    of its owned clauses, and its inherited assignment always covers the
+    union of its ancestors' frame variables, so the new variables it extends
+    are fixed by the tree.  Owned clauses become ``(var, wanted_bit)``
+    pairs, and so does each extension pattern, listed in
+    ``product((0, 1), ...)`` order over the new variables.
     """
-    frame_vars: list[tuple[int, ...]] = []
-    for node, bag in enumerate(td.bags):
-        varset = {v[1] for v in bag if v[0] == "x"}
-        for j in owners.get(node, ()):
-            varset.update(abs(lit) for lit in formula.clauses[j - 1])
-        frame_vars.append(tuple(sorted(varset)))
-
+    owned_ids: set[int] = set()
+    frame_vars: dict[int, tuple[int, ...]] = {}
     inherited: dict[int, frozenset[int]] = {}
     plan: list = [None] * td.num_nodes
     for node, parent in bfs_tree(td.root, td.children).items():
+        bag = td.bags[node]
+        owns = sorted(
+            v[1] for v in bag if v[0] == "C" and v[1] not in owned_ids
+        )
+        owned_ids.update(owns)
+        varset = {v[1] for v in bag if v[0] == "x"}
+        for j in owns:
+            varset.update(abs(lit) for lit in formula.clauses[j - 1])
+        frame_vars[node] = tuple(sorted(varset))
         domain = (
             frozenset() if node == parent
             else inherited[parent].union(frame_vars[parent])
@@ -313,7 +307,7 @@ def _compile_plan(
         new = tuple(v for v in frame_vars[node] if v not in domain)
         owned = tuple(
             tuple((abs(lit), int(lit > 0)) for lit in formula.clauses[j - 1])
-            for j in owners.get(node, ())
+            for j in owns
         )
         plan[node] = (
             len(new) + len(frame_vars[node]) + 3,
@@ -351,11 +345,10 @@ def bdtw_maxsat(
     Frames and the peak live cells are counted as the recursion runs and
     declared once, inside the ``bdtw`` scope, when the root returns.
     """
-    graph = incidence_graph(formula)
-    ok, witness = validate_td(graph, td)
+    ok, witness = validate_td(formula, td)
     if not ok:
         raise ValueError(f"invalid tree decomposition: {witness}")
-    plan = _compile_plan(td, formula, _clause_owners(td))
+    plan = _compile_plan(td, formula)
     value = [0] * (formula.n + 1)
     frames = live = peak = 0
 
@@ -422,8 +415,7 @@ def _renumbered(part: Formula) -> tuple[Formula, dict[int, int]]:
 def solve_part_exact(part: Formula) -> tuple[int, Assignment, dict[str, Any]]:
     """Exact solve of one partition part via decompose + rebalance + DP."""
     compact, new_to_old = _renumbered(part)
-    g = incidence_graph(compact)
-    td = rebalance(tree_decompose(g))
+    td = rebalance(tree_decompose(incidence_graph(compact)))
     val, phi = bdtw_maxsat(td, compact)
     mapped = {new_to_old[v]: bit for v, bit in phi.items()}
     info = {

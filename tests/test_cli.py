@@ -151,3 +151,32 @@ def test_input_errors_exit_2(capsys, tmp_path):
     hashfam = ["hashfam", "--k", "2", "--a", "1", "--b", "2"]
     assert main(hashfam + ["--n", "1"]) == 2  # n < k
     assert main(hashfam + ["--n", "3", "--q", "4"]) == 2  # q not prime
+
+
+def test_oracle_cap_exits_2(capsys, tmp_path):
+    # the oracle checks its cap before it allocates anything
+    big = tmp_path / "big.cnf"
+    big.write_text(f"p cnf {orc.ORACLE_VAR_CAP + 1} 1\n1 2 0\n")
+    for argv in (
+        ["solve", "--alg", "exact", str(big)],
+        ["solve", "--alg", "half", "--oracle", str(big)],
+        ["oracle", str(big)],
+    ):
+        assert main(argv) == 2
+        assert "exceeds oracle cap" in capsys.readouterr().err
+
+
+def test_huge_band_modulus_runs(capsys, tmp_path):
+    # k = 2 * 10**13: far more residues than triples, none allocated
+    chain = tmp_path / "chain20.cnf"
+    assert main(["gen-planar", "--kind", "chain", "--size", "20",
+                 "--out", str(chain)]) == 0
+    code, rep = run_json(
+        capsys,
+        ["solve", "--alg", "planar-ptas", "--eps", "1/10000000000000",
+         "--oracle", str(chain)],
+    )
+    assert code == 0
+    assert rep["satisfied"] == rep["opt"]
+    code, rep = run_json(capsys, ["partition", "--k", "10000000000000", str(chain)])
+    assert code == 0 and rep["partition"]["ok"]

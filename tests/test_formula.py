@@ -97,24 +97,25 @@ def test_histogram_examples():
 
 
 def test_incidence_graph_example():
-    f = Formula(n=2, clauses=((1, 2), (-1,), (2,)))
-    g = incidence_graph(f)
-    assert len(g.vertices()) == 5
-    assert g.num_edges == 4
-    assert g.edges() == {
-        frozenset({("x", 1), ("C", 1)}),
-        frozenset({("x", 2), ("C", 1)}),
-        frozenset({("x", 1), ("C", 2)}),
-        frozenset({("x", 2), ("C", 3)}),
+    f = Formula(n=2, clauses=((2, 1), (-1,), (2,)))
+    assert incidence_graph(f) == {
+        ("x", 1): [("C", 1), ("C", 2)],
+        ("x", 2): [("C", 1), ("C", 3)],
+        ("C", 1): [("x", 2), ("x", 1)],  # literal order
+        ("C", 2): [("x", 1)],
+        ("C", 3): [("x", 2)],
     }
 
 
 def test_incidence_graph_trivial_cases():
-    g = incidence_graph(Formula(n=2, clauses=()))
-    assert g.vertices() == {("x", 1), ("x", 2)}
-    assert g.num_edges == 0
-    g = incidence_graph(Formula(n=1, clauses=((1,),)))
-    assert g.edges() == {frozenset({("x", 1), ("C", 1)})}
+    assert incidence_graph(Formula(n=2, clauses=())) == {
+        ("x", 1): [],
+        ("x", 2): [],
+    }
+    assert incidence_graph(Formula(n=1, clauses=((1,),))) == {
+        ("x", 1): [("C", 1)],
+        ("C", 1): [("x", 1)],
+    }
 
 
 def test_assignment_roundtrip():

@@ -20,21 +20,19 @@ def test_connect_with_dummy_two_components():
     f = Formula(n=2, clauses=((1,), (2,)))
     conn = connect_with_dummy(f)
     assert conn.dummy_var == 3
-    assert conn.formula.n == 3
-    assert conn.formula.m == 3
-    assert conn.formula.clauses[-1] == (-3,)
+    assert conn.dummy_clause_index == 3
     dummy = ("x", 3)
     # one representative clause per component, plus the dummy clause edge
-    nbrs = set(conn.graph.neighbors(dummy))
+    nbrs = set(conn.graph[dummy])
     assert ("C", 1) in nbrs and ("C", 2) in nbrs and ("C", 3) in nbrs
     levels = bfs_levels(conn.graph, dummy)
-    assert set(conn.graph.clause_vertices) <= set(levels.level_of)
+    assert {v for v in conn.graph if v[0] == "C"} <= set(levels.level_of)
 
 
 def test_connect_with_dummy_empty_formula():
     conn = connect_with_dummy(Formula(n=0, clauses=()))
-    assert conn.formula.clauses == ((-1,),)
     assert conn.dummy_var == 1
+    assert conn.graph == {("x", 1): [("C", 1)], ("C", 1): [("x", 1)]}
 
 
 def test_bfs_levels_example():
@@ -43,7 +41,7 @@ def test_bfs_levels_example():
     levels = bfs_levels(conn.graph, ("x", conn.dummy_var))
     assert levels.level_of[("x", conn.dummy_var)] == 1
     attached = [
-        v for v in conn.graph.neighbors(("x", conn.dummy_var))
+        v for v in conn.graph[("x", conn.dummy_var)]
         if v[0] == "C"
     ]
     for v in attached:
@@ -68,7 +66,7 @@ def test_bfs_levels_match_reference_bfs():
         q = deque([root])
         while q:
             v = q.popleft()
-            for w in conn.graph.neighbors(v):
+            for w in conn.graph[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     q.append(w)
@@ -98,6 +96,21 @@ def test_deletion_band_loss_bounds():
             assert sum(band.residue_losses) <= 2 * f.m
             assert k * band.clause_loss <= 2 * f.m  # cheapest residue
             assert band.residue_losses[band.chosen_i] == band.clause_loss
+
+
+def test_deletion_band_huge_k_matches_first_empty_residue():
+    # triples run over j = 0..d/2, so residues from d/2 + 2 on add nothing
+    f = gen_planar_instance("chain", 20, seed=0)
+    conn = connect_with_dummy(f)
+    levels = bfs_levels(conn.graph, ("x", conn.dummy_var))
+    small_k = levels.depth // 2 + 2
+    small = choose_deletion_band(levels, small_k, skip_clause=conn.dummy_clause_index)
+    huge = choose_deletion_band(levels, 10**13, skip_clause=conn.dummy_clause_index)
+    assert huge.k == 10**13
+    assert (huge.chosen_i, huge.band_vertices, huge.clause_loss) == (
+        small.chosen_i, small.band_vertices, small.clause_loss
+    )
+    assert huge.residue_losses == small.residue_losses
 
 
 def test_partition_chain_example():
@@ -155,7 +168,7 @@ def test_generators_are_planar_and_shaped():
     chain = gen_planar_instance("chain", 8, seed=0)
     assert chain.m == 7 and all(len(c) == 2 for c in chain.clauses)
     g = incidence_graph(chain)
-    degs = sorted(len(g.neighbors(("x", i))) for i in range(1, 9))
+    degs = sorted(len(g[("x", i)]) for i in range(1, 9))
     assert degs == [1, 1, 2, 2, 2, 2, 2, 2]  # path
     grid = gen_planar_instance("grid", (5, 5), seed=0)
     assert grid.m == 2 * 5 * 4

@@ -6,9 +6,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from satmeter.formula import Formula, eval_assignment, incidence_graph
+from satmeter.formula import Formula, bfs_tree, eval_assignment, incidence_graph
 from satmeter.metering import meter_scope, note_pass, tracked
 from satmeter.oracle import exact_maxsat
 from satmeter.planar import gen_planar_instance
@@ -32,16 +32,15 @@ def _path_graph(k):
 def test_decompose_path_width_1():
     td = tree_decompose(_path_graph(4))
     assert td.width == 1
-    assert validate_td(incidence_graph(gen_planar_instance("chain", 4, seed=0)), td)[0]
+    assert validate_td(gen_planar_instance("chain", 4, seed=0), td)[0]
 
 
 def test_decompose_cycle_width_2():
     # C4 as a formula: x1-x2, x2-x3, x3-x4, x4-x1 merged via wide clauses
     # build the 4-cycle directly on variable vertices via a 2x2 grid formula
     f = Formula(n=2, clauses=((1, 2), (1, 2)))  # duplicate clauses: C4
-    g = incidence_graph(f)
-    td = tree_decompose(g)
-    assert validate_td(g, td)[0]
+    td = tree_decompose(incidence_graph(f))
+    assert validate_td(f, td)[0]
     assert td.width == 2
 
 
@@ -54,27 +53,35 @@ def test_decompose_single_vertex():
 
 def test_decompose_disconnected_graph():
     f = Formula(n=4, clauses=((1, 2), (3, 4)))
-    g = incidence_graph(f)
-    td = tree_decompose(g)
-    ok, witness = validate_td(g, td)
+    td = tree_decompose(incidence_graph(f))
+    ok, witness = validate_td(f, td)
     assert ok, witness
 
 
 def test_validate_catches_missing_edge():
     f = Formula(n=2, clauses=((1, 2),))
-    g = incidence_graph(f)
     td = TreeDecomposition(
         bags=(frozenset({("x", 1), ("C", 1)}), frozenset({("x", 2)})),
         children=((1,), ()),
         root=0,
     )
-    ok, witness = validate_td(g, td)
+    ok, witness = validate_td(f, td)
     assert not ok and "edge" in witness
+    # the first missing edge in clause order, then variable order
+    f = Formula(n=3, clauses=((1,), (3, 2)))
+    td = TreeDecomposition(
+        bags=(
+            frozenset({("x", 1), ("C", 1), ("x", 2), ("x", 3)}),
+            frozenset({("C", 2)}),
+        ),
+        children=((1,), ()),
+        root=0,
+    )
+    assert validate_td(f, td) == (False, "edge ('C', 2)-('x', 2) in no bag")
 
 
 def test_validate_catches_disconnected_occurrence():
     f = Formula(n=2, clauses=((1, 2),))
-    g = incidence_graph(f)
     td = TreeDecomposition(
         bags=(
             frozenset({("x", 1), ("x", 2), ("C", 1)}),
@@ -84,17 +91,16 @@ def test_validate_catches_disconnected_occurrence():
         children=((1,), (2,), ()),
         root=0,
     )
-    ok, witness = validate_td(g, td)
+    ok, witness = validate_td(f, td)
     assert not ok and "disconnected" in witness
 
 
 def test_rebalance_path_decomposition():
     # 16-bag path decomposition: depth 15 down to O(log)
     f = gen_planar_instance("chain", 17, seed=0)
-    g = incidence_graph(f)
-    td = tree_decompose(g)
+    td = tree_decompose(incidence_graph(f))
     rb = rebalance(td)
-    ok, witness = validate_td(g, rb)
+    ok, witness = validate_td(f, rb)
     assert ok, witness
     assert rb.binary
     assert rb.depth <= 4 * max(1, math.ceil(math.log2(td.num_nodes)))
@@ -112,10 +118,9 @@ def test_rebalance_random_formulas_valid():
     for _ in range(20):
         n = rng.randint(2, 10)
         f = random_formula(rng, n, rng.randint(1, 3 * n), min(3, n))
-        g = incidence_graph(f)
-        td = tree_decompose(g)
+        td = tree_decompose(incidence_graph(f))
         rb = rebalance(td)
-        ok, witness = validate_td(g, rb)
+        ok, witness = validate_td(f, rb)
         assert ok, witness
         assert rb.binary
         assert max(len(b) for b in rb.bags) <= 3 * max(len(b) for b in td.bags)
@@ -231,7 +236,7 @@ def _frames_of(td, formula):
 def _reference_bdtw(td, formula):
     """The DP before its plan was compiled: a ``psi | ext`` dict per
     extension, a ``tracked`` scope and a ``note_pass`` per frame."""
-    assert validate_td(incidence_graph(formula), td)[0]
+    assert validate_td(formula, td)[0]
     _, _, owners, frame, _ = _frames_of(td, formula)
     frame_vars = {node: tuple(sorted(vs)) for node, vs in frame.items()}
 
@@ -309,6 +314,75 @@ def test_bdtw_matches_per_frame_reference_random(n, m, copies, seed):
     _assert_dp_contract(rebalance(td), f)
 
 
+def _reference_validate_td(formula, td):
+    """``validate_td`` as it was over a vertex set and an edge set."""
+    graph = incidence_graph(formula)
+    vertices = set(graph)
+    edges = {frozenset((u, v)) for u, nbrs in graph.items() for v in nbrs}
+    occurrences = {}
+    for node, bag in enumerate(td.bags):
+        for v in bag:
+            occurrences.setdefault(v, set()).add(node)
+    missing = vertices - occurrences.keys()
+    if missing:
+        return False, f"vertex {sorted(missing)[0]} in no bag"
+    for edge in sorted(edges, key=sorted):
+        u, v = sorted(edge)
+        if occurrences[u].isdisjoint(occurrences[v]):
+            return False, f"edge {u}-{v} in no bag"
+    parent = bfs_tree(td.root, td.children)
+    for v, nodes in occurrences.items():
+        internal = sum(1 for x in nodes if x != td.root and parent[x] in nodes)
+        if internal != len(nodes) - 1:
+            return False, f"occurrence set of {v} is disconnected"
+    return True, None
+
+
+def _mutations(rng, td, vertices):
+    """The decomposition's bags as they are; then, for each bag in turn, with
+    one random vertex dropped from that bag; with one vertex dropped from
+    every bag; and with a vertex added to a random bag."""
+    bags = list(td.bags)
+    yield bags
+    for node, bag in enumerate(bags):
+        if bag:
+            dropped = bags.copy()
+            dropped[node] = bag - {rng.choice(sorted(bag))}
+            yield dropped
+    gone = rng.choice(vertices)
+    yield [bag - {gone} for bag in bags]
+    added = bags.copy()
+    node = rng.randrange(len(bags))
+    added[node] = bags[node] | {rng.choice(vertices)}
+    yield added
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(0, 14),
+    st.integers(0, 4),
+    st.integers(0, 2**30),
+)
+# a clause that loses two edges at once, its literals out of variable order
+@example(3, 3, 1, 23)
+@example(3, 3, 1, 34)
+def test_validate_td_matches_graph_reference(n, m, copies, seed):
+    rng = random.Random(seed)
+    f = random_formula(rng, n, m, min(3, n))
+    shuffled = tuple(tuple(rng.sample(c, len(c))) for c in f.clauses)
+    f = _with_duplicates(rng, Formula(n=n, clauses=shuffled), copies)
+    graph = incidence_graph(f)
+    vertices = sorted(graph)
+    td = tree_decompose(graph)
+    for base in (td, rebalance(td)):
+        for bags in _mutations(rng, base, vertices):
+            mutated = TreeDecomposition(
+                bags=tuple(bags), children=base.children, root=base.root
+            )
+            assert validate_td(f, mutated) == _reference_validate_td(f, mutated)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.one_of(
@@ -353,6 +427,6 @@ def test_bdtw_matches_per_frame_reference_three_children(signs, copies):
         children=((1, 2, 3), (4,), (), (5,), (), ()),
         root=0,
     )
-    assert validate_td(incidence_graph(f), td)[0]
+    assert validate_td(f, td)[0]
     _assert_dp_contract(td, f)
     _assert_dp_contract(rebalance(td), f)
