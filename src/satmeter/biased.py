@@ -2,7 +2,10 @@
 
 All bias quantities are exact fixed-point integers scaled by 2^r, so the
 branch on b_F <= b* and the family parameters ceil(m - b_F),
-ceil(2m - 4 b_F) never move on float error.
+ceil(2m - 4 b_F) never move on float error.  The profile is a bincount over
+the formula's clause arrays (stored once, see ``formula``), and the
+positively-biased formula flips them by a sign mask into a derived formula,
+without re-validation.
 """
 
 from __future__ import annotations
@@ -60,29 +63,37 @@ class BiasProfile:
 
 
 def bias_profile(formula: Formula) -> BiasProfile:
+    """One weighted ``bincount`` of literal signs per clause width, scaled
+    exactly (int64 while m * 2^r fits, Python ints beyond)."""
     r = max(formula.r, 1)
     scale = 1 << r
-    per_var = {i: 0 for i in range(1, formula.n + 1)}
-    for clause in formula.clauses:
-        unit = scale >> len(clause)  # 2^(r-j)
-        for lit in clause:
-            per_var[abs(lit)] += unit if lit > 0 else -unit
+    widths, lits = formula.widths, formula.lits
+    lit_width = np.repeat(widths, widths)
+    dtype = np.int64 if formula.m * scale < 1 << 62 else object
+    per_var = np.zeros(formula.n + 1, dtype=dtype)  # index 0 unused
+    for width in np.unique(widths).tolist():
+        at = lit_width == width
+        net = np.bincount(  # float64, exact: |net| <= m
+            np.abs(lits[at]), weights=np.sign(lits[at]), minlength=formula.n + 1
+        )
+        per_var += net.astype(np.int64).astype(dtype) * (scale >> width)
     hist = clause_histogram(formula)
-    b_f = sum(abs(v) for v in per_var.values())
     b_star = 4 * sum(
         count * (scale - (width + 1) * (scale >> width))
         for width, count in hist.items()
     )
-    neg_vars = frozenset(i for i, v in per_var.items() if v < 0)
-    return BiasProfile(
-        r=r,
-        scale=scale,
-        per_var=per_var,
-        b_f=b_f,
-        b_star=b_star,
-        histogram=hist,
-        neg_vars=neg_vars,
-    )
+    per_var_dict = dict(enumerate(per_var.tolist()[1:], start=1))
+    neg_vars = frozenset(np.flatnonzero(per_var < 0).tolist())
+    b_f = int(np.abs(per_var).sum())
+    return BiasProfile(r, scale, per_var_dict, b_f, b_star, hist, neg_vars)
+
+
+def _sign_flipped(formula: Formula, neg_vars: frozenset[int]) -> Formula:
+    mask = np.zeros(formula.n + 1, dtype=bool)
+    mask[np.fromiter(neg_vars, np.int64, len(neg_vars))] = True
+    lits = formula.lits
+    flipped = np.where(mask[np.abs(lits)], -lits, lits)
+    return Formula.trusted(formula.n, formula.offsets, flipped, formula.r)
 
 
 def to_positively_biased(formula: Formula, neg_vars: frozenset[int]) -> Stream:
@@ -90,20 +101,17 @@ def to_positively_biased(formula: Formula, neg_vars: frozenset[int]) -> Stream:
 
     def produce() -> Iterator[tuple[int, ...]]:
         note_pass("input")
-        for clause in formula.clauses:
-            yield tuple(
-                -lit if abs(lit) in neg_vars else lit for lit in clause
-            )
+        return iter(_sign_flipped(formula, neg_vars).clauses)
 
     return Stream("posbias", produce)
 
 
 def flipped_formula(formula: Formula, neg_vars: frozenset[int]) -> Formula:
-    return Formula(
-        n=formula.n,
-        clauses=tuple(to_positively_biased(formula, neg_vars).scan()),
-        r=formula.r,
-    )
+    """The posbias stream's clauses as a formula, flipped by a sign mask;
+    charged as one scan of that stream."""
+    note_pass("posbias")
+    note_pass("input")
+    return _sign_flipped(formula, neg_vars)
 
 
 def random_assignment_floor(profile: BiasProfile) -> Fraction:
@@ -137,9 +145,7 @@ def search_marginal(profile: BiasProfile, m: int) -> Fraction:
 
 
 def chou_search(
-    fprime: Formula,
-    profile: BiasProfile,
-    scan_cap: int = DEFAULT_SCAN_CAP,
+    fprime: Formula, profile: BiasProfile, scan_cap: int = DEFAULT_SCAN_CAP
 ) -> SearchOutcome:
     """r-wise family search over the positively-biased formula.
 
@@ -148,9 +154,7 @@ def chou_search(
     spec a = t, b = q; accepts the first candidate reaching the expectation
     target minus the threshold rounding slack m*r/(2q).
     """
-    m = fprime.m
-    n = fprime.n
-    r = max(fprime.r, 1)
+    m, n, r = fprime.m, fprime.n, max(fprime.r, 1)
     bf = profile.b_f_fraction()
     a = math.ceil(m - bf)
     b = math.ceil(2 * m - 4 * bf)
@@ -169,14 +173,9 @@ def chou_search(
     def accept(counts: np.ndarray) -> np.ndarray:
         return counts >= threshold
 
-    return family_search(
-        HashFamilySpec(n=n, k=k, a=t, b=q, q=q),
-        fprime,
-        accept,
-        f"c >= ceil({float(target):.4f} - {float(slack):.4f}) = {threshold}",
-        "posbias",
-        scan_cap,
-    )
+    spec = HashFamilySpec(n=n, k=k, a=t, b=q, q=q)
+    desc = f"c >= ceil({float(target):.4f} - {float(slack):.4f}) = {threshold}"
+    return family_search(spec, fprime, accept, desc, "posbias", scan_cap)
 
 
 def chou_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResult:
@@ -186,32 +185,24 @@ def chou_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResul
             profile = bias_profile(formula)
             fprime = flipped_formula(formula, profile.neg_vars)
             m = formula.m
-            branch = None
             outcome = None
+            phi_fprime = all_const_assignment(formula.n, 1)
             if m == 0:
-                phi_fprime = all_const_assignment(formula.n, 1)
                 branch = "empty"
             elif profile.b_f > profile.b_star:
-                phi_fprime = all_const_assignment(formula.n, 1)
                 branch = "all-ones(b_F > b*)"
             elif 2 * m * profile.scale - 4 * profile.b_f <= 0:
-                phi_fprime = all_const_assignment(formula.n, 1)
                 branch = "all-ones(degenerate denominator)"
             else:
                 with tracked(max(formula.r, 1)):  # candidate coefficients
                     outcome = chou_search(fprime, profile, scan_cap=scan_cap)
                 branch = "family-search"
                 candidate = assignment_from_hash(outcome.function, formula.n)
-                ones = all_const_assignment(formula.n, 1)
                 note_pass("posbias", 2)
-                c_cand = eval_assignment(fprime, candidate)
-                c_ones = eval_assignment(fprime, ones)
-                phi_fprime = candidate if c_cand >= c_ones else ones
-            # back-transform: un-flip the negatively-biased variables
-            phi: Assignment = {
-                i: 1 - v if i in profile.neg_vars else v
-                for i, v in phi_fprime.items()
-            }
+                if eval_assignment(fprime, candidate) >= eval_assignment(fprime, phi_fprime):
+                    phi_fprime = candidate
+            neg = profile.neg_vars  # back-transform: un-flip those variables
+            phi: Assignment = {i: 1 - v if i in neg else v for i, v in phi_fprime.items()}
             count = eval_assignment(formula, phi)
     details = {
         "branch": branch,

@@ -10,20 +10,18 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from satmeter import formula as fm
 from satmeter import oracle as orc
 from satmeter.biased import bias_profile, chou_solve
-from satmeter.hashfam import (
-    HashFamilySpec,
-    assignment_from_hash,
-    enum_family,
-    smallest_prime_geq,
-)
+from satmeter.hashfam import HashFamilySpec, batch_assignments, smallest_prime_geq
 from satmeter.planar import gen_planar_instance, partition, verify_partition
 from satmeter.treedp import planar_ptas
 from satmeter.twosat import SolveResult, half_approx, ls_solve
@@ -99,12 +97,9 @@ def _solve_report(formula: fm.Formula, algorithm: str, result: SolveResult,
 
 def cmd_solve(args) -> int:
     formula = _read_formula(args.file)
-    if args.alg == "half":
-        result = half_approx(formula)
-    elif args.alg == "ls":
-        result = ls_solve(formula)
-    elif args.alg == "chou":
-        result = chou_solve(formula)
+    solvers = {"half": half_approx, "ls": ls_solve, "chou": chou_solve}
+    if args.alg in solvers:
+        result = solvers[args.alg](formula)
     elif args.alg == "planar-ptas":
         if args.eps is None:
             raise InputError("--eps is required for planar-ptas")
@@ -176,26 +171,20 @@ def cmd_hashfam(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if spec.size > args.limit:
-        raise InputError(
-            f"family size {spec.size} exceeds --limit {args.limit}"
-        )
-    marginals = [0] * args.n
+        raise InputError(f"family size {spec.size} exceeds --limit {args.limit}")
+    marginals = np.zeros(args.n, dtype=np.int64)
     pair = 0
-    total = 0
-    for f in enum_family(spec).scan():
-        phi = assignment_from_hash(f, args.n)
-        total += 1
-        for i in range(1, args.n + 1):
-            marginals[i - 1] += phi[i]
-        if args.n >= 2 and phi[1] == phi[2] == 1:
-            pair += 1
+    for high in itertools.product(range(q), repeat=spec.k - 1):  # block by block
+        bits = batch_assignments(spec, high)  # one row per function
+        marginals += bits.sum(axis=0)
+        pair += int(bits[:, :2].all(axis=1).sum())
     report = {
         "schema_version": SCHEMA_VERSION,
         "timestamp": time.time(),
         "spec": {"n": args.n, "k": args.k, "a": args.a, "b": args.b, "q": q},
         "threshold": spec.threshold,
-        "family_size": total,
-        "marginal_counts": marginals,
+        "family_size": spec.size,
+        "marginal_counts": marginals.tolist(),
         "pair11_count_vars_1_2": pair if args.n >= 2 else None,
     }
     _emit(report)
@@ -259,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["half", "ls", "chou", "planar-ptas", "exact"],
     )
     p.add_argument("--eps", help="accuracy for planar-ptas, e.g. 1/3")
-    p.add_argument(
-        "--oracle", action="store_true", help="also compute OPT and the ratio"
-    )
+    p.add_argument("--oracle", action="store_true", help="also compute OPT and the ratio")
     p.add_argument("file")
     p.set_defaults(func=cmd_solve)
 

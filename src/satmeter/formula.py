@@ -1,10 +1,15 @@
 """CNF formula model: DIMACS parsing, evaluation, incidence graphs.
 
 Literals are signed integers in DIMACS convention (``3`` is the variable
-``x3``, ``-3`` its negation).  Clauses are tuples of literals; a ``Formula``
-is an immutable ordered clause list over variables ``1..n``.  Assignments are
-plain ``{var: 0/1}`` dicts.  The incidence graph is a plain adjacency dict
-over ``("x", i)`` and ``("C", j)`` vertices, the mapping ``bfs_tree`` walks.
+``x3``, ``-3`` its negation).  A ``Formula`` is an immutable ordered clause
+list over variables ``1..n``, stored once as CSR arrays: clause j (0-based)
+is ``lits[offsets[j]:offsets[j + 1]]``.  Parsing and public construction
+validate those arrays with numpy; formulas derived from a valid one (sign
+flips, clause subsets, renumberings) come from ``Formula.trusted`` and skip
+re-validation.  ``formula.clauses``, the tuple-of-tuples view, is built on
+first use.  Assignments are plain ``{var: 0/1}`` dicts.  The incidence graph
+is a plain adjacency dict over ``("x", i)`` and ``("C", j)`` vertices, the
+mapping ``bfs_tree`` walks.
 """
 
 from __future__ import annotations
@@ -12,17 +17,34 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 Assignment = dict[int, int]
+
+_INT64_MIN = -(1 << 63)
 
 
 class FormulaError(ValueError):
     """Raised on malformed DIMACS input or invalid formula structure."""
 
 
-@dataclass(frozen=True)
+def csr_offsets(widths) -> np.ndarray:
+    """Clause offsets for the given clause widths: 0, then running sums."""
+    return np.concatenate(([0], np.cumsum(widths, dtype=np.int64)))
+
+
+def _as_int64(values: list[int]) -> np.ndarray:
+    """``values`` as int64, a value beyond int64 as int64's minimum, which is
+    out of range for every variable count that fits int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        clamped = [v if _INT64_MIN < v < -_INT64_MIN else _INT64_MIN for v in values]
+        return np.array(clamped, dtype=np.int64)
+
+
 class Formula:
     """An r-CNF formula: ordered clauses over variables 1..n.
 
@@ -30,105 +52,198 @@ class Formula:
     tautological clauses (x and -x together) are rejected; duplicate clauses
     across the formula are kept, since satisfied clauses count with
     multiplicity.  ``r`` is the max observed clause width unless pinned.
+    The clause arrays are read-only.
     """
 
-    n: int
-    clauses: tuple[tuple[int, ...], ...]
-    r: int = 0
+    __slots__ = ("n", "r", "offsets", "lits", "_clauses")
 
-    def __post_init__(self):
-        clean = []
-        for idx, clause in enumerate(self.clauses, start=1):
-            seen: dict[int, int] = {}
-            lits = []
-            for lit in clause:
-                var = abs(lit)
-                if var < 1 or var > self.n:
-                    raise FormulaError(
-                        f"clause {idx}: literal {lit} out of range [1, {self.n}]"
-                    )
-                if var in seen:
-                    if seen[var] != lit:
-                        raise FormulaError(f"tautological clause {idx}")
-                    continue  # duplicate literal, drop
-                seen[var] = lit
-                lits.append(lit)
-            if not lits:
+    def __init__(self, n: int, clauses, r: int = 0):
+        clauses = [tuple(clause) for clause in clauses]
+        flat = [lit for clause in clauses for lit in clause]
+        self._set(n, csr_offsets([len(c) for c in clauses]), _as_int64(flat), r)
+        self.__post_init__(flat)
+
+    def _set(self, n: int, offsets: np.ndarray, lits: np.ndarray, r: int) -> None:
+        offsets.flags.writeable = lits.flags.writeable = False
+        self.n, self.offsets, self.lits, self.r = n, offsets, lits, r
+        self._clauses = None
+
+    @classmethod
+    def from_arrays(cls, n: int, offsets, lits, given=None) -> Formula:
+        """Validated formula over clause arrays; ``given`` as in ``__post_init__``."""
+        self = cls.__new__(cls)
+        self._set(n, offsets, lits, 0)
+        self.__post_init__(given)
+        return self
+
+    @classmethod
+    def trusted(cls, n: int, offsets, lits, r: int = 0) -> Formula:
+        """Formula over clause arrays derived from a valid one, not validated
+        again (sign flips, subsets, renumberings); ``r`` 0: max width."""
+        self = cls.__new__(cls)
+        if r == 0 and offsets.size > 1:
+            r = int((offsets[1:] - offsets[:-1]).max())
+        self._set(n, offsets, lits, r)
+        return self
+
+    def __post_init__(self, given=None) -> None:
+        """Validate the clause arrays and collapse duplicate literals.
+
+        The error names the first bad clause, and in it the first bad
+        literal: out of range, or over a variable seen with the other sign.
+        ``given[p]`` is flat literal p as written, if it may not fit int64.
+        """
+        n, lits, widths = self.n, self.lits, self.widths
+        clause_of = np.repeat(np.arange(widths.size), widths)
+        var = np.abs(lits)  # int64's minimum stays negative: out of range
+        bad = (var < 1) | (var > n)
+        # a stable sort by (clause, variable) leads each run of one variable
+        # in one clause with its first occurrence; the rest of a run repeats
+        order = np.lexsort((var, clause_of))
+        run_var, run_clause = var[order], clause_of[order]
+        repeat = (run_var[1:] == run_var[:-1]) & (run_clause[1:] == run_clause[:-1])
+        keep = None
+        if np.count_nonzero(repeat):
+            repeat = np.concatenate(([False], repeat))
+            lead = order[np.maximum.accumulate(np.where(repeat, 0, np.arange(lits.size)))]
+            keep = np.ones(lits.size, dtype=bool)
+            keep[order] = ~repeat
+            bad[order] |= repeat & (lits[order] != lits[lead])  # a tautology
+        empty = widths == 0
+        if np.count_nonzero(bad) or np.count_nonzero(empty):
+            bad = np.flatnonzero(bad)[:1]
+            idx = min([*np.flatnonzero(empty)[:1].tolist(), *clause_of[bad].tolist()]) + 1
+            if widths[idx - 1] == 0:
                 raise FormulaError(f"clause {idx} is empty")
-            clean.append(tuple(lits))
-        object.__setattr__(self, "clauses", tuple(clean))
-        max_width = max((len(c) for c in self.clauses), default=0)
+            lit = given[bad[0]] if given is not None else int(lits[bad[0]])
+            if not 0 < abs(lit) <= n:
+                raise FormulaError(f"clause {idx}: literal {lit} out of range [1, {n}]")
+            raise FormulaError(f"tautological clause {idx}")
+        if keep is not None:
+            widths = np.bincount(clause_of[keep], minlength=widths.size)
+            self._set(n, csr_offsets(widths), lits[keep], self.r)
+        max_width = int(widths.max()) if widths.size else 0
         if self.r == 0:
-            object.__setattr__(self, "r", max_width)
+            self.r = max_width
         elif max_width > self.r:
             raise FormulaError(f"clause width {max_width} exceeds pinned r={self.r}")
 
     @property
     def m(self) -> int:
-        return len(self.clauses)
+        return self.offsets.size - 1
 
-    def variables(self) -> set[int]:
-        return {abs(lit) for clause in self.clauses for lit in clause}
+    @property
+    def widths(self) -> np.ndarray:
+        return self.offsets[1:] - self.offsets[:-1]
+
+    @property
+    def clauses(self) -> tuple[tuple[int, ...], ...]:
+        """The clauses as a tuple of literal tuples, built on first use."""
+        if self._clauses is None:
+            flat, ends = self.lits.tolist(), self.offsets.tolist()
+            self._clauses = tuple(tuple(flat[a:b]) for a, b in pairwise(ends))
+        return self._clauses
+
+    def subsets(self, groups: list[list[int]]) -> list[Formula]:
+        """One formula per group of 0-based clause indices, each in the given
+        order, over the same variables and ``r``; one gather serves all."""
+        idx = np.fromiter((i for group in groups for i in group), np.int64)
+        starts = self.offsets[idx]
+        widths = self.offsets[idx + 1] - starts
+        offsets = csr_offsets(widths)
+        lits = self.lits[np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], widths)]
+        ends = np.cumsum([0, *map(len, groups)]).tolist()  # group g: ends[g] to ends[g + 1]
+        return [
+            Formula.trusted(
+                self.n, offsets[a : b + 1] - offsets[a], lits[offsets[a] : offsets[b]], self.r
+            )
+            for a, b in pairwise(ends)
+        ]
+
+    def __repr__(self) -> str:
+        return f"Formula(n={self.n}, clauses={self.clauses!r}, r={self.r})"
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, Formula) and (self.n, self.r) == (other.n, other.r)
+        return same and self.clauses == other.clauses
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.r, self.clauses))
+
+
+def _ints(tokens: list[str]) -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for tok in tokens:  # name the first bad token
+            try:
+                int(tok)
+            except ValueError as exc:
+                raise FormulaError(f"bad token {tok!r}") from exc
+        raise
+
+
+def _header(line: str, data: list[str]) -> tuple[int, int]:
+    try:
+        _, cnf, n, m = line.split()
+        if cnf == "cnf" and int(n) >= 0 and int(m) >= 0:
+            return int(n), int(m)
+    except ValueError:
+        pass
+    _ints(" ".join(data).split())  # a bad token on an earlier line comes first
+    raise FormulaError(f"malformed header: {line!r}")
 
 
 def parse_dimacs(text: str | bytes) -> Formula:
     """Parse DIMACS CNF text into a Formula.
 
-    Accepts 'c' comment lines, a 'p cnf n m' header and 0-terminated clauses
-    (possibly spanning lines).  A clause-count mismatch is a warning only; the
+    Accepts 'c' and '%' comment lines, a 'p cnf n m' header and 0-terminated
+    clauses (possibly spanning lines, the last 0 optional).  The clause lines
+    are tokenized together into one literal array and validated as the
+    ``Formula`` arrays.  A clause-count mismatch is a warning only; the
     actual count is trusted.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    n = None
-    declared_m = None
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormulaError(f"input is not UTF-8: {exc}") from exc
+    n = declared_m = None
+    data: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if not line or line[0] in "c%":
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise FormulaError(f"malformed header: {line!r}")
-            try:
-                n, declared_m = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise FormulaError(f"malformed header: {line!r}") from exc
-            if n < 0 or declared_m < 0:
-                raise FormulaError(f"malformed header: {line!r}")
-            continue
-        if n is None:
+        if line[0] == "p":
+            n, declared_m = _header(line, data)
+        elif n is None:
             raise FormulaError("clause data before 'p cnf' header")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError as exc:
-                raise FormulaError(f"bad token {tok!r}") from exc
-            if lit == 0:
-                if current:
-                    clauses.append(tuple(current))
-                    current = []
-            else:
-                current.append(lit)
-    if current:
-        clauses.append(tuple(current))
+        else:
+            data.append(line)
     if n is None:
         raise FormulaError("missing 'p cnf' header")
-    if declared_m is not None and declared_m != len(clauses):
+    ints = _ints(" ".join(data).split())
+    tokens = _as_int64(ints)
+    ends = tokens == 0
+    lits = tokens[~ends]
+    # literal i belongs to the group after the terminators before it; groups
+    # between two adjacent terminators are empty and dropped
+    widths = np.bincount(np.cumsum(ends)[~ends], minlength=1)
+    widths = widths[widths > 0]
+    if widths.size != declared_m:
         warnings.warn(
-            f"clause count mismatch: header says {declared_m}, found {len(clauses)}",
+            f"clause count mismatch: header says {declared_m}, found {widths.size}",
             stacklevel=2,
         )
-    return Formula(n=n, clauses=tuple(clauses))
+    clamped = lits.size and lits.min() == _INT64_MIN
+    given = [lit for lit in ints if lit] if clamped else None
+    return Formula.from_arrays(n, csr_offsets(widths), lits, given)
 
 
 def serialize_dimacs(formula: Formula) -> str:
-    lines = [f"p cnf {formula.n} {formula.m}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+    tokens = np.insert(formula.lits, formula.offsets[1:], 0).tolist()
+    body = " ".join(map(str, tokens)).replace(" 0 ", " 0\n")
+    return f"p cnf {formula.n} {formula.m}\n" + (body + "\n" if body else "")
 
 
 def serialize_assignment(phi: Assignment) -> str:
@@ -153,15 +268,17 @@ def parse_assignment(text: str) -> Assignment:
 
 def eval_assignment(formula: Formula, phi: Assignment) -> int:
     """Number of clauses satisfied by the total assignment `phi`."""
-    missing = set(range(1, formula.n + 1)) - phi.keys()
-    if missing:
-        raise FormulaError(
-            f"assignment is partial: variable {min(missing)} unset"
-        )
-    true_lits = {var if value else -var for var, value in phi.items()}
-    return sum(
-        not true_lits.isdisjoint(clause) for clause in formula.clauses
-    )
+    n = formula.n
+    try:
+        values = np.fromiter(map(phi.__getitem__, range(1, n + 1)), bool, n)
+    except KeyError:
+        unset = min(set(range(1, n + 1)) - phi.keys())
+        raise FormulaError(f"assignment is partial: variable {unset} unset") from None
+    if formula.m == 0:
+        return 0
+    lits = formula.lits
+    true = values[np.abs(lits) - 1] ^ (lits < 0)
+    return int(np.count_nonzero(np.logical_or.reduceat(true, formula.offsets[:-1])))
 
 
 def all_const_assignment(n: int, value: int) -> Assignment:
@@ -169,11 +286,9 @@ def all_const_assignment(n: int, value: int) -> Assignment:
 
 
 def clause_histogram(formula: Formula) -> dict[int, int]:
-    """Map clause width -> number of clauses of that width."""
-    hist: dict[int, int] = {}
-    for clause in formula.clauses:
-        hist[len(clause)] = hist.get(len(clause), 0) + 1
-    return hist
+    """Map clause width -> number of clauses of that width, ascending."""
+    widths, counts = np.unique(formula.widths, return_counts=True)
+    return dict(zip(widths.tolist(), counts.tolist()))
 
 
 # Incidence-graph vertices: ("x", i) for variables, ("C", j) for clauses
@@ -187,9 +302,7 @@ def incidence_graph(formula: Formula) -> dict[Vertex, list[Vertex]]:
     Every variable is a key, then every clause.  A clause lists its
     variables in literal order; a variable lists its clauses in index order.
     """
-    graph: dict[Vertex, list[Vertex]] = {
-        ("x", i): [] for i in range(1, formula.n + 1)
-    }
+    graph: dict[Vertex, list[Vertex]] = {("x", i): [] for i in range(1, formula.n + 1)}
     for j, clause in enumerate(formula.clauses, start=1):
         cv = ("C", j)
         graph[cv] = [("x", abs(lit)) for lit in clause]
@@ -240,14 +353,16 @@ class PackedClauses:
 
 
 def pack_clauses(formula: Formula) -> PackedClauses:
-    width = max((len(c) for c in formula.clauses), default=1)
-    m = formula.m
-    var_idx = np.zeros((m, width), dtype=np.int64)
-    negated = np.zeros((m, width), dtype=bool)
-    present = np.zeros((m, width), dtype=bool)
-    for j, clause in enumerate(formula.clauses):
-        for s, lit in enumerate(clause):
-            var_idx[j, s] = abs(lit) - 1
-            negated[j, s] = lit < 0
-            present[j, s] = True
+    widths, lits = formula.widths, formula.lits
+    shape = (formula.m, int(widths.max()) if widths.size else 1)
+    slot = (
+        np.repeat(np.arange(formula.m), widths),
+        np.arange(lits.size) - np.repeat(formula.offsets[:-1], widths),
+    )
+    var_idx = np.zeros(shape, dtype=np.int64)
+    negated = np.zeros(shape, dtype=bool)
+    present = np.zeros(shape, dtype=bool)
+    var_idx[slot] = np.abs(lits) - 1
+    negated[slot] = lits < 0
+    present[slot] = True
     return PackedClauses(var_idx=var_idx, negated=negated, present=present)

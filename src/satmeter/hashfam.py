@@ -13,7 +13,6 @@ first candidate whose satisfied-clause count passes the solver's test.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -115,31 +114,37 @@ class HashFunction:
         return 1 if self.eval(i) < self.threshold else 0
 
 
+def _tuples(q: int, length: int) -> Iterator[tuple[int, ...]]:
+    """All ``length``-tuples over range(q), lexicographic, made as consumed
+    (``itertools.product`` would first copy range(q), q entries)."""
+    if length == 0:
+        yield ()
+        return
+    for head in _tuples(q, length - 1):
+        for c in range(q):
+            yield head + (c,)
+
+
 def enum_family(spec: HashFamilySpec) -> Stream:
     """Restartable stream of all q^k functions, lexicographic in coeffs."""
 
     def produce() -> Iterator[HashFunction]:
-        coeffs = [0] * spec.k
-        t = spec.threshold
-        while True:
-            yield HashFunction(coeffs=tuple(coeffs), q=spec.q, threshold=t)
-            # odometer increment, last (constant) coefficient fastest
-            pos = spec.k - 1
-            while pos >= 0:
-                coeffs[pos] += 1
-                if coeffs[pos] < spec.q:
-                    break
-                coeffs[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
+        for coeffs in _tuples(spec.q, spec.k):
+            yield HashFunction(coeffs=coeffs, q=spec.q, threshold=spec.threshold)
 
     return Stream(f"hashfam(n={spec.n},k={spec.k},q={spec.q})", produce)
 
 
 def assignment_from_hash(f: HashFunction, n: int) -> Assignment:
-    """Total assignment over [n] with values(i) = bit_f(i)."""
-    return {i: f.bit(i) for i in range(1, n + 1)}
+    """Total assignment over [n] with values(i) = bit_f(i), evaluated over
+    all points at once (in Python ints if q * (n + 1) overflows int64)."""
+    points = np.arange(1, n + 1, dtype=np.int64)
+    if f.q * (n + 1) >= 1 << 63:
+        points = points.astype(object)
+    acc = np.zeros_like(points)
+    for c in f.coeffs:
+        acc = (acc * points + c) % f.q
+    return dict(enumerate((acc < f.threshold).astype(np.int64).tolist(), start=1))
 
 
 def batch_assignments(
@@ -180,7 +185,7 @@ def _candidate_chunks(
     """
     max_chunk = max(1, 2_000_000 // spec.n)
     chunk = 1
-    for high in itertools.product(range(spec.q), repeat=spec.k - 1):
+    for high in _tuples(spec.q, spec.k - 1):
         c0 = 0
         while c0 < spec.q:
             stop = min(c0 + chunk, spec.q)

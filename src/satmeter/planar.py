@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from satmeter.formula import Formula, Vertex, bfs_tree, incidence_graph
 from satmeter.metering import Stream, alloc_cells, free_cells, meter_scope, note_pass, tracked
@@ -53,9 +53,7 @@ def connect_with_dummy(formula: Formula) -> DummyConnection:
             graph[dummy_vertex].append(rep)
             graph[rep].append(dummy_vertex)
 
-    return DummyConnection(
-        graph=graph, dummy_var=dummy, dummy_clause_index=formula.m + 1
-    )
+    return DummyConnection(graph=graph, dummy_var=dummy, dummy_clause_index=formula.m + 1)
 
 
 @dataclass(frozen=True)
@@ -93,14 +91,10 @@ def bfs_levels(graph: dict[Vertex, list[Vertex]], root: Vertex) -> BfsLevels:
                 level_of[v] = 1 if v == p else level_of[p] + 1
         finally:
             free_cells(contract_cells)
-    unreachable_clauses = [
-        v for v in graph if v[0] == "C" and v not in level_of
-    ]
+    unreachable_clauses = [v for v in graph if v[0] == "C" and v not in level_of]
     if unreachable_clauses:
-        raise ValueError(
-            f"graph not connected: clause vertex {unreachable_clauses[0]} "
-            "unreachable from root"
-        )
+        raise ValueError(f"graph not connected: clause vertex {unreachable_clauses[0]} "
+                         "unreachable from root")
     d0 = max(level_of.values())
     d = d0 if d0 % 2 == 0 else d0 + 1
     return BfsLevels(root=root, level_of=level_of, depth=d, raw_depth=d0)
@@ -142,11 +136,7 @@ def choose_deletion_band(
     d = levels.depth
 
     def clause_count(level: int) -> int:
-        return sum(
-            1
-            for v in level_sets[level]
-            if v[0] == "C" and v[1] != skip_clause
-        )
+        return sum(1 for v in level_sets[level] if v[0] == "C" and v[1] != skip_clause)
 
     with tracked(2 * k + 4):  # per-residue counters plus loop registers
         note_pass("bfs", k)
@@ -163,13 +153,7 @@ def choose_deletion_band(
             for lvl in (2 * j, 2 * j + 1, 2 * j + 2):
                 if 1 <= lvl <= d:
                     band |= level_sets[lvl]
-    return DeletionBand(
-        k=k,
-        chosen_i=chosen,
-        band_vertices=frozenset(band),
-        clause_loss=losses[chosen],
-        residue_losses=tuple(losses),
-    )
+    return DeletionBand(k, chosen, frozenset(band), losses[chosen], tuple(losses))
 
 
 @dataclass(frozen=True)
@@ -196,17 +180,10 @@ def partition(formula: Formula, k: int) -> PartitionResult:
     with meter_scope("partition"):
         conn = connect_with_dummy(formula)
         levels = bfs_levels(conn.graph, ("x", conn.dummy_var))
-        band = choose_deletion_band(
-            levels, k, skip_clause=conn.dummy_clause_index
-        )
-        kept = {
-            v
-            for v in levels.level_of
-            if v not in band.band_vertices
-        }
+        band = choose_deletion_band(levels, k, skip_clause=conn.dummy_clause_index)
+        kept = {v for v in levels.level_of if v not in band.band_vertices}
         note_pass("bfs", 2)  # band filter pass + component pass
 
-        parts: list[Formula] = []
         part_vars: list[frozenset[int]] = []
         part_indices: list[tuple[int, ...]] = []
         seen: set[Vertex] = set()
@@ -220,22 +197,12 @@ def partition(formula: Formula, k: int) -> PartitionResult:
                 v[1] for v in comp
                 if v[0] == "C" and v[1] != conn.dummy_clause_index
             )
-            var_ids = {
-                v[1] for v in comp if v[0] == "x" and v[1] != conn.dummy_var
-            }
+            var_ids = {v[1] for v in comp if v[0] == "x" and v[1] != conn.dummy_var}
             if not clause_ids:
                 continue
-            parts.append(
-                Formula(
-                    n=formula.n,
-                    clauses=tuple(
-                        formula.clauses[i - 1] for i in clause_ids
-                    ),
-                    r=formula.r,
-                )
-            )
             part_vars.append(frozenset(var_ids))
             part_indices.append(tuple(clause_ids))
+        parts = formula.subsets([[i - 1 for i in ids] for ids in part_indices])
 
     return PartitionResult(
         parts=tuple(parts),
@@ -264,18 +231,7 @@ class PartitionReport:
         return self.disjoint and self.retained_ok and self.span_ok and self.loss_sum_ok
 
     def as_dict(self) -> dict:
-        return {
-            "parts": self.parts,
-            "disjoint": self.disjoint,
-            "disjoint_witness": self.disjoint_witness,
-            "retained_clauses": self.retained_clauses,
-            "retained_ok": self.retained_ok,
-            "max_level_span": self.max_level_span,
-            "span_ok": self.span_ok,
-            "loss_sum": self.loss_sum,
-            "loss_sum_ok": self.loss_sum_ok,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_partition(
@@ -328,7 +284,7 @@ def planarity_sanity(formula: Formula) -> bool:
     vertices = formula.n + formula.m
     if vertices < 3:
         return True
-    return sum(len(c) for c in formula.clauses) <= 2 * vertices - 4
+    return formula.lits.size <= 2 * vertices - 4
 
 
 def gen_planar_instance(kind: str, size, seed: int = 0) -> Formula:

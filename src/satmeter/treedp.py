@@ -20,11 +20,14 @@ and the frames below it on the recursion path run.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Any
+
+import numpy as np
 
 from satmeter.formula import (
     Assignment,
@@ -69,34 +72,35 @@ class TreeDecomposition:
 
 def _min_fill_order(component: set[Vertex], graph: dict[Vertex, list[Vertex]]):
     """Min-fill elimination of one connected component of ``graph``; yields
-    (vertex, bag) pairs, deterministic ties."""
+    (vertex, bag) pairs.  Each step eliminates the vertex with the least
+    fill, ties to the smallest.  Fills sit in a heap keyed (fill, rank in
+    the component sorted once); an elimination recounts only the fills it
+    can change, those of its neighbours and their neighbours."""
     work = {v: set(graph[v]) for v in component}
-    remaining = set(component)
-    while remaining:
-        best_v = None
-        best_fill = None
-        for v in sorted(remaining):
-            nbrs = work[v]
-            fill = 0
-            nl = sorted(nbrs)
-            for i in range(len(nl)):
-                for j in range(i + 1, len(nl)):
-                    if nl[j] not in work[nl[i]]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_fill, best_v = fill, v
-                if fill == 0:
-                    break
-        nbrs = sorted(work[best_v])
-        yield best_v, frozenset([best_v, *nbrs])
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                work[nbrs[i]].add(nbrs[j])
-                work[nbrs[j]].add(nbrs[i])
+    rank = {v: i for i, v in enumerate(sorted(component))}
+
+    def fill(v: Vertex) -> int:
+        nbrs = work[v]  # non-adjacent pairs; adjacent ones are seen twice
+        seen = sum(len(work[w] & nbrs) for w in nbrs)
+        return len(nbrs) * (len(nbrs) - 1) // 2 - seen // 2
+
+    current = {v: fill(v) for v in component}
+    heap = [(f, rank[v], v) for v, f in current.items()]
+    heapq.heapify(heap)
+    while heap:
+        f, _, v = heapq.heappop(heap)
+        if current.get(v) != f:
+            continue  # eliminated, or its fill changed since this entry
+        del current[v]
+        nbrs = work.pop(v)
+        yield v, frozenset([v, *nbrs])
         for w in nbrs:
-            work[w].discard(best_v)
-        del work[best_v]
-        remaining.discard(best_v)
+            work[w] |= nbrs
+            work[w] -= {w, v}
+        for u in set(nbrs).union(*(work[w] for w in nbrs)):
+            if (f := fill(u)) != current[u]:
+                current[u] = f
+                heapq.heappush(heap, (f, rank[u], u))
 
 
 def tree_decompose(graph: dict[Vertex, list[Vertex]]) -> TreeDecomposition:
@@ -107,45 +111,30 @@ def tree_decompose(graph: dict[Vertex, list[Vertex]]) -> TreeDecomposition:
     """
     if not graph:
         return TreeDecomposition(bags=(frozenset(),), children=((),), root=0)
-
-    comp_tds: list[tuple[list[frozenset[Vertex]], list[list[int]], int]] = []
+    comps: list[set[Vertex]] = []
     seen: set[Vertex] = set()
     for start in sorted(graph):
-        if start in seen:
-            continue
-        comp = set(bfs_tree(start, graph))
-        seen |= comp
+        if start not in seen:
+            comps.append(set(bfs_tree(start, graph)))
+            seen |= comps[-1]
+    joined = len(comps) > 1  # node 0 is then the shared empty root bag
+    bags: list[frozenset[Vertex]] = [frozenset()] if joined else []
+    children: list[list[int]] = [[]] if joined else []
+    roots = []
+    for comp in comps:
         order = list(_min_fill_order(comp, graph))
-        bags = [bag for _, bag in order]
-        elim_pos = {v: i for i, (v, _) in enumerate(order)}
-        children: list[list[int]] = [[] for _ in bags]
-        for i, (v, bag) in enumerate(order):
-            later = [elim_pos[w] for w in bag if w != v and elim_pos[w] > i]
+        elim_pos = {v: i for i, (v, _) in enumerate(order, start=len(bags))}
+        bags += [bag for _, bag in order]
+        children += [[] for _ in order]
+        for v, bag in order:
+            later = [elim_pos[w] for w in bag if elim_pos[w] > elim_pos[v]]
             if later:
-                children[min(later)].append(i)
-        comp_tds.append((bags, children, len(bags) - 1))
-
-    if len(comp_tds) == 1:
-        bags, children, root = comp_tds[0]
-        return TreeDecomposition(
-            bags=tuple(bags),
-            children=tuple(tuple(c) for c in children),
-            root=root,
-        )
-
-    # join components under a shared empty root bag
-    all_bags: list[frozenset[Vertex]] = [frozenset()]
-    all_children: list[list[int]] = [[]]
-    for bags, children, root in comp_tds:
-        offset = len(all_bags)
-        all_bags.extend(bags)
-        all_children.extend([c + offset for c in cs] for cs in children)
-        all_children[0].append(root + offset)
-    return TreeDecomposition(
-        bags=tuple(all_bags),
-        children=tuple(tuple(c) for c in all_children),
-        root=0,
-    )
+                children[min(later)].append(elim_pos[v])
+        roots.append(len(bags) - 1)
+    if joined:
+        children[0] = roots
+    root = 0 if joined else roots[0]
+    return TreeDecomposition(tuple(bags), tuple(map(tuple, children)), root)
 
 
 def validate_td(
@@ -154,8 +143,10 @@ def validate_td(
     """Check the three decomposition axioms against the formula's incidence
     graph; returns (ok, witness).
 
-    Vertices are checked clauses first, then variables, and edges clause by
-    clause, each clause's variables in ascending order.
+    Vertices and occurrence sets are checked clauses first, then
+    variables, each by index, and edges clause by clause, each clause's
+    variables in ascending order, so the witness does not depend on the
+    hash order of the bags.
     """
     occurrences: dict[Vertex, set[int]] = {}
     for node, bag in enumerate(td.bags):
@@ -174,22 +165,12 @@ def validate_td(
     # connected occurrence subtrees: count tree edges inside each vertex's
     # occurrence set; a connected subtree on s nodes has s-1 of them
     parent = bfs_tree(td.root, td.children)
-    for v, nodes in occurrences.items():
-        internal = sum(
-            1 for x in nodes if x != td.root and parent[x] in nodes
-        )
+    for v in sorted(occurrences):  # clauses, then variables, by index
+        nodes = occurrences[v]
+        internal = sum(1 for x in nodes if x != td.root and parent[x] in nodes)
         if internal != len(nodes) - 1:
             return False, f"occurrence set of {v} is disconnected"
     return True, None
-
-
-def _tree_adjacency(td: TreeDecomposition) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {i: set() for i in range(td.num_nodes)}
-    for v, cs in enumerate(td.children):
-        for c in cs:
-            adj[v].add(c)
-            adj[c].add(v)
-    return adj
 
 
 def rebalance(td: TreeDecomposition) -> TreeDecomposition:
@@ -201,7 +182,11 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
     recurse into the remaining components.  Every piece carries at most two
     boundary nodes, so bags union at most three original bags.
     """
-    adj = _tree_adjacency(td)
+    adj: dict[int, set[int]] = {v: set() for v in range(td.num_nodes)}
+    for v, cs in enumerate(td.children):
+        for c in cs:
+            adj[v].add(c)
+            adj[c].add(v)
     out_bags: list[frozenset[Vertex]] = []
     out_children: list[list[int]] = []
 
@@ -235,10 +220,7 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
         else:
             candidates = sorted(nodes)
         # the first candidate whose largest leftover component is smallest
-        s = min(
-            candidates,
-            key=lambda c: max(largest_child[c], len(nodes) - size[c]),
-        )
+        s = min(candidates, key=lambda c: max(largest_child[c], len(nodes) - size[c]))
         root = emit(td.bags[s] | bbag)
         rest = nodes - {s}
         subtree_roots: list[int] = []
@@ -291,9 +273,7 @@ def _compile_plan(
     plan: list = [None] * td.num_nodes
     for node, parent in bfs_tree(td.root, td.children).items():
         bag = td.bags[node]
-        owns = sorted(
-            v[1] for v in bag if v[0] == "C" and v[1] not in owned_ids
-        )
+        owns = sorted(v[1] for v in bag if v[0] == "C" and v[1] not in owned_ids)
         owned_ids.update(owns)
         varset = {v[1] for v in bag if v[0] == "x"}
         for j in owns:
@@ -400,16 +380,11 @@ def bdtw_maxsat(
 
 def _renumbered(part: Formula) -> tuple[Formula, dict[int, int]]:
     """Compact the variable space of a part; returns (formula, new->old)."""
-    used = sorted(part.variables())
-    old_to_new = {old: new for new, old in enumerate(used, start=1)}
-    clauses = tuple(
-        tuple(
-            old_to_new[abs(lit)] * (1 if lit > 0 else -1) for lit in clause
-        )
-        for clause in part.clauses
-    )
-    compact = Formula(n=len(used), clauses=clauses)
-    return compact, {new: old for old, new in old_to_new.items()}
+    var = np.abs(part.lits)
+    used = np.unique(var)
+    lits = np.sign(part.lits) * (np.searchsorted(used, var) + 1)
+    compact = Formula.trusted(used.size, part.offsets, lits)
+    return compact, dict(enumerate(used.tolist(), start=1))
 
 
 def solve_part_exact(part: Formula) -> tuple[int, Assignment, dict[str, Any]]:

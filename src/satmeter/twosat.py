@@ -5,7 +5,10 @@ unit clauses are all positive (flipping polarity of variables that occur as
 negative unit clauses, with a #NEG marker recording which variables the
 back-transform must un-flip), search an enumerated pairwise-independent
 family of 618/1000-biased assignments for one satisfying more than 0.618 of
-the transformed clauses, and translate the winner back.
+the transformed clauses, and translate the winner back.  The transform works
+on the source's clause arrays (stored once, see ``formula``): a per-variable
+sign mask flips literals, and each scan builds the transformed formula as a
+derived formula, without re-validation.
 """
 
 from __future__ import annotations
@@ -13,10 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+import numpy as np
+
 from satmeter.formula import (
     Assignment,
     Formula,
     all_const_assignment,
+    csr_offsets,
     eval_assignment,
     pack_clauses,
 )
@@ -29,15 +35,7 @@ from satmeter.hashfam import (
     family_search,
     field_size_for,
 )
-from satmeter.metering import (
-    SpaceReport,
-    Stream,
-    meter_scope,
-    note_pass,
-    tracked,
-)
-
-import numpy as np
+from satmeter.metering import SpaceReport, meter_scope, note_pass, tracked
 
 LS_NUM, LS_DEN = 618, 1000
 
@@ -71,7 +69,7 @@ def half_approx(formula: Formula) -> SolveResult:
     return SolveResult(zeros, c0, {"choice": "all-zeros"}, sc.report)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TwoSatStream:
     """Restartable event stream of the 2-satisfiable transform.
 
@@ -79,41 +77,38 @@ class TwoSatStream:
     clauses, in that order, all emitted units positive), ("marker", "#NEG"),
     then ("flipped_var", i) for every variable whose value the back-transform
     must invert.  Variables emitted after the marker also stand for the unit
-    clause (x_i) of the transformed formula.
+    clause (x_i) of the transformed formula.  Every scan recomputes the
+    transformed clause arrays from ``source`` and its sign mask ``flip``
+    and charges one ``twosat`` and two ``input`` passes.
     """
 
     source: Formula
-    stream: Stream
+    pos_units: np.ndarray  # per variable (index 0 unused): has a positive unit
+    flip: np.ndarray  # per variable: has a negative unit and no positive one
     dropped_pairs: frozenset[int]
 
+    def formula(self) -> Formula:
+        """One pass: the transformed formula, the flipped variables' units last."""
+        note_pass("twosat")
+        note_pass("input", 2)  # unit-occurrence prepass + clause pass
+        f = self.source
+        wide = f.lits[np.repeat(f.widths >= 2, f.widths)]
+        units = np.concatenate((np.flatnonzero(self.pos_units), np.flatnonzero(self.flip)))
+        widths = np.concatenate((f.widths[f.widths >= 2], np.ones_like(units)))
+        lits = np.concatenate((np.where(self.flip[np.abs(wide)], -wide, wide), units))
+        return Formula.trusted(f.n, csr_offsets(widths), lits)
+
     def scan(self) -> Iterator[tuple]:
-        return self.stream.scan()
+        clauses, flipped = self.formula().clauses, np.flatnonzero(self.flip).tolist()
+        events = [("clause", c) for c in clauses[: len(clauses) - len(flipped)]]
+        return iter(events + [("marker", NEG_MARKER)] + [("flipped_var", v) for v in flipped])
 
     def clauses(self) -> list[tuple[int, ...]]:
-        out = []
-        for event in self.scan():
-            if event[0] == "clause":
-                out.append(event[1])
-            elif event[0] == "flipped_var":
-                out.append((event[1],))
-        return out
+        return list(self.formula().clauses)
 
     def flipped_vars(self) -> frozenset[int]:
-        return frozenset(
-            event[1] for event in self.scan() if event[0] == "flipped_var"
-        )
-
-    def formula(self) -> Formula:
-        return Formula(n=self.source.n, clauses=tuple(self.clauses()))
-
-
-def _unit_occurrences(formula: Formula) -> tuple[set[int], set[int]]:
-    pos_units: set[int] = set()
-    neg_units: set[int] = set()
-    for clause in formula.clauses:
-        if len(clause) == 1:
-            (pos_units if clause[0] > 0 else neg_units).add(abs(clause[0]))
-    return pos_units, neg_units
+        units = self.formula().lits  # one pass; the flipped variables come last
+        return frozenset(units[units.size - np.count_nonzero(self.flip):].tolist())
 
 
 def to_two_satisfiable(formula: Formula) -> TwoSatStream:
@@ -123,42 +118,22 @@ def to_two_satisfiable(formula: Formula) -> TwoSatStream:
     positive units are re-emitted once per variable; after #NEG, the flipped
     variables (negative unit, no positive unit) are emitted, standing both
     for their positive unit clause and for the back-transform's inversion
-    set.  Complementary unit pairs keep only their positive side.
+    set.  Complementary unit pairs keep only their positive side.  Flipping
+    is a sign mask over the source's literal array.
     """
-    pos_units, neg_units = _unit_occurrences(formula)
-    dropped = frozenset(pos_units & neg_units)
+    units = formula.lits[formula.offsets[:-1][formula.widths == 1]]
+    pos = np.zeros(formula.n + 1, dtype=bool)
+    neg = np.zeros(formula.n + 1, dtype=bool)
+    pos[units[units > 0]] = True
+    neg[-units[units < 0]] = True
     # flip exactly the variables whose polarity the back-transform inverts;
     # a variable with both unit polarities keeps its orientation (its pair
     # contributes one satisfied clause no matter what)
-    flip = neg_units - pos_units
-
-    def produce() -> Iterator[tuple]:
-        note_pass("input", 2)  # unit-occurrence prepass + clause pass
-        for clause in formula.clauses:
-            if len(clause) < 2:
-                continue
-            lits = tuple(
-                -lit if abs(lit) in flip else lit for lit in clause
-            )
-            yield ("clause", lits)
-        for var in range(1, formula.n + 1):
-            if var in pos_units:
-                yield ("clause", (var,))
-        yield ("marker", NEG_MARKER)
-        for var in range(1, formula.n + 1):
-            if var in neg_units and var not in pos_units:
-                yield ("flipped_var", var)
-
-    return TwoSatStream(
-        source=formula,
-        stream=Stream("twosat", produce),
-        dropped_pairs=dropped,
-    )
+    dropped = frozenset(np.flatnonzero(pos & neg).tolist())
+    return TwoSatStream(source=formula, pos_units=pos, flip=neg & ~pos, dropped_pairs=dropped)
 
 
-def ls_search(
-    ts: TwoSatStream, scan_cap: int = DEFAULT_SCAN_CAP
-) -> SearchOutcome:
+def ls_search(ts: TwoSatStream, scan_cap: int = DEFAULT_SCAN_CAP) -> SearchOutcome:
     """Search Univ(n, 2, 618, 1000) for a candidate with c > 0.618 m'."""
     formula = ts.formula()
     m_prime, n = formula.m, formula.n
@@ -189,7 +164,7 @@ def ls_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResult:
     with meter_scope("ls_solve") as sc:
         with tracked(12):  # m', thresholds, best count/index, loop registers
             ts = to_two_satisfiable(formula)
-            m_prime = len(ts.clauses())
+            m_prime = ts.formula().m
             with tracked(2):  # candidate coefficient pair
                 outcome = ls_search(ts, scan_cap=scan_cap)
             flipped = ts.flipped_vars()
@@ -201,9 +176,5 @@ def ls_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResult:
                 var: 1 - v if var in flipped else v for var, v in phi.items()
             }
             count = eval_assignment(formula, phi_prime)
-    return SolveResult(
-        assignment=phi_prime,
-        count=count,
-        details={"m_prime": m_prime, **outcome.details()},
-        report=sc.report,
-    )
+    details = {"m_prime": m_prime, **outcome.details()}
+    return SolveResult(assignment=phi_prime, count=count, details=details, report=sc.report)

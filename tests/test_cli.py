@@ -138,6 +138,15 @@ def test_input_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 1 1\n1 -1 0\n")
     assert main(["solve", "--alg", "ls", str(bad)]) == 2
+    not_utf8 = tmp_path / "latin1.cnf"
+    not_utf8.write_bytes(b"p cnf 2 1\n1 \xff 0\n")
+    capsys.readouterr()
+    assert main(["solve", "--alg", "ls", str(not_utf8)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    huge = tmp_path / "huge.cnf"  # beyond int64: must not wrap into range
+    huge.write_text("p cnf 2 1\n1 99999999999999999999999 0\n")
+    assert main(["solve", "--alg", "ls", str(huge)]) == 2
+    assert "literal 99999999999999999999999 out of range" in capsys.readouterr().err
     assert main(["gen-planar", "--kind", "grid", "--size", "x"]) == 2
     assert main(["solve", "--alg", "nope", str(bad)]) == 2  # argparse error
     ok = tmp_path / "ok.cnf"

@@ -1,10 +1,15 @@
 """Formula model: parsing, evaluation, histograms, incidence graphs."""
 
 import random
+import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from satmeter.biased import bias_profile, flipped_formula, to_positively_biased
+from satmeter.hashfam import HashFunction, assignment_from_hash
+from satmeter.metering import meter_scope
+from satmeter.twosat import NEG_MARKER, to_two_satisfiable
 from satmeter.formula import (
     Formula,
     FormulaError,
@@ -145,3 +150,252 @@ def test_pack_clauses_matches_eval(n, m, seed):
     for row, count in zip(rows, counts):
         phi = {i + 1: int(row[i]) for i in range(n)}
         assert eval_assignment(f, phi) == count
+
+
+# --- the array core against the tuple code it replaced ---------------------
+
+
+def _reference_clauses(n, clauses, r=0):
+    """``Formula`` validation as it was, clause by clause over tuples:
+    (clauses, r), or the FormulaError it raised."""
+    clean = []
+    for idx, clause in enumerate(clauses, start=1):
+        seen = {}
+        lits = []
+        for lit in clause:
+            var = abs(lit)
+            if var < 1 or var > n:
+                raise FormulaError(f"clause {idx}: literal {lit} out of range [1, {n}]")
+            if var in seen:
+                if seen[var] != lit:
+                    raise FormulaError(f"tautological clause {idx}")
+                continue
+            seen[var] = lit
+            lits.append(lit)
+        if not lits:
+            raise FormulaError(f"clause {idx} is empty")
+        clean.append(tuple(lits))
+    max_width = max((len(c) for c in clean), default=0)
+    if r and max_width > r:
+        raise FormulaError(f"clause width {max_width} exceeds pinned r={r}")
+    return tuple(clean), r or max_width
+
+
+def _reference_parse(text):
+    """``parse_dimacs`` as it was, line by line: (n, clauses, r)."""
+    n = declared_m = None
+    clauses, current = [], []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c") or line.startswith("%"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise FormulaError(f"malformed header: {line!r}")
+            try:
+                n, declared_m = int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise FormulaError(f"malformed header: {line!r}") from exc
+            if n < 0 or declared_m < 0:
+                raise FormulaError(f"malformed header: {line!r}")
+            continue
+        if n is None:
+            raise FormulaError("clause data before 'p cnf' header")
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError as exc:
+                raise FormulaError(f"bad token {tok!r}") from exc
+            if lit == 0:
+                if current:
+                    clauses.append(tuple(current))
+                    current = []
+            else:
+                current.append(lit)
+    if current:
+        clauses.append(tuple(current))
+    if n is None:
+        raise FormulaError("missing 'p cnf' header")
+    return (n, *_reference_clauses(n, clauses))
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the text of the FormulaError it raised."""
+    try:
+        return fn(*args)
+    except FormulaError as exc:
+        return f"error: {exc}"
+
+
+def _array_parse(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        f = parse_dimacs(text)
+    return f.n, f.clauses, f.r
+
+
+ODD_TOKENS = ["x", "1.5", "+2", "1_0", "--1", "99999999999999999999999",
+              "-99999999999999999999999", str(2**63), str(-(2**63)), str(2**63 - 1)]
+ODD_HEADERS = ["p cnf x 2", "p dnf 2 1", "p cnf -1 1", "p cnf 2", "pcnf 2 1"]
+COMMENTS = ["c a comment", "%", "  c 1 2 0", "", " \t ", "c", "%  0"]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS text: comments and '%' lines anywhere, clauses spread over
+    lines, duplicate literals, tautologies, out-of-range literals, runs of
+    terminators, a final clause without its 0, and now and then an odd
+    token, a malformed header or clause data before the header."""
+    n = draw(st.integers(0, 6))
+    tokens = []
+    lits = st.integers(-n - 1, n + 1).filter(bool)
+    for clause in draw(st.lists(st.lists(lits, max_size=4), max_size=7)):
+        tokens += [str(lit) for lit in clause] + ["0"] * draw(st.integers(0, 2))
+    if tokens and draw(st.integers(0, 5)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(ODD_TOKENS)))
+    lines, start = [], 0
+    while start < len(tokens):
+        stop = start + draw(st.integers(1, 5))
+        lines.append(draw(st.sampled_from([" ", "  ", "\t"])).join(tokens[start:stop]))
+        start = stop
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(COMMENTS)))
+    header = f"p cnf {n} {draw(st.integers(0, 8))}"
+    if draw(st.integers(0, 7)) == 0:
+        header = draw(st.sampled_from(ODD_HEADERS))
+    at = 0 if draw(st.integers(0, 7)) else draw(st.integers(0, len(lines)))
+    lines.insert(at, header)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dimacs_texts())
+def test_parse_matches_tuple_reference(text):
+    assert _outcome(_array_parse, text) == _outcome(_reference_parse, text)
+    assert _outcome(_array_parse, text.encode()) == _outcome(_reference_parse, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.lists(st.lists(st.integers(-7, 7), max_size=4), max_size=6),
+    st.sampled_from([0, 0, 2, 3, 70]),
+)
+def test_formula_validation_matches_tuple_reference(n, clauses, r):
+    def array_core(n, clauses, r):
+        f = Formula(n=n, clauses=clauses, r=r)
+        return f.clauses, f.r
+
+    assert _outcome(array_core, n, clauses, r) == _outcome(
+        _reference_clauses, n, clauses, r
+    )
+
+
+def _reference_serialize(f):
+    lines = [f"p cnf {f.n} {f.m}"]
+    lines += [" ".join(str(lit) for lit in clause) + " 0" for clause in f.clauses]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_eval(f, phi):
+    true_lits = {var if value else -var for var, value in phi.items()}
+    return sum(not true_lits.isdisjoint(clause) for clause in f.clauses)
+
+
+def _reference_pack(f):
+    width = max((len(c) for c in f.clauses), default=1)
+    var_idx = np.zeros((f.m, width), dtype=np.int64)
+    negated = np.zeros((f.m, width), dtype=bool)
+    present = np.zeros((f.m, width), dtype=bool)
+    for j, clause in enumerate(f.clauses):
+        for s, lit in enumerate(clause):
+            var_idx[j, s], negated[j, s], present[j, s] = abs(lit) - 1, lit < 0, True
+    return var_idx, negated, present
+
+
+def _reference_bias(f):
+    r = max(f.r, 1)
+    scale = 1 << r
+    per_var = {i: 0 for i in range(1, f.n + 1)}
+    hist = {}
+    for clause in f.clauses:
+        hist[len(clause)] = hist.get(len(clause), 0) + 1
+        for lit in clause:
+            per_var[abs(lit)] += (scale >> len(clause)) * (1 if lit > 0 else -1)
+    b_star = 4 * sum(c * (scale - (w + 1) * (scale >> w)) for w, c in hist.items())
+    neg_vars = frozenset(i for i, v in per_var.items() if v < 0)
+    return r, scale, per_var, sum(map(abs, per_var.values())), b_star, hist, neg_vars
+
+
+def _reference_two_sat(f):
+    """The 2-satisfiable transform as it was: events, dropped pairs, flips."""
+    pos = {c[0] for c in f.clauses if len(c) == 1 and c[0] > 0}
+    neg = {-c[0] for c in f.clauses if len(c) == 1 and c[0] < 0}
+    flip = neg - pos
+    events = [
+        ("clause", tuple(-lit if abs(lit) in flip else lit for lit in c))
+        for c in f.clauses if len(c) >= 2
+    ]
+    events += [("clause", (v,)) for v in range(1, f.n + 1) if v in pos]
+    events.append(("marker", NEG_MARKER))
+    events += [("flipped_var", v) for v in range(1, f.n + 1) if v in flip]
+    return events, frozenset(pos & neg), frozenset(flip)
+
+
+def _passes(fn):
+    with meter_scope("probe") as sc:
+        out = fn()
+    return out, sc.report.pass_counts
+
+
+@st.composite
+def formulas_with_duplicates(draw):
+    n = draw(st.integers(0, 7))
+    lits = st.integers(1, max(n, 1)).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(lits, min_size=1, max_size=4, unique_by=abs)
+    clauses = draw(st.lists(clause, max_size=10)) if n else []
+    clauses += [draw(st.sampled_from(clauses)) for _ in range(draw(st.integers(0, 3)))] if clauses else []
+    r = draw(st.sampled_from([0, 0, 4, 40, 70]))
+    return Formula(n=n, clauses=draw(st.permutations(clauses)), r=r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas_with_duplicates(), st.integers(0, 2**30))
+def test_readers_match_tuple_reference(f, seed):
+    rng = random.Random(seed)
+    assert serialize_dimacs(f) == _reference_serialize(f)
+    phi = {i: rng.randint(0, 1) for i in range(1, f.n + 1)}
+    assert eval_assignment(f, phi) == _reference_eval(f, phi)
+    packed = pack_clauses(f)
+    ref = _reference_pack(f)
+    for got, want in zip((packed.var_idx, packed.negated, packed.present), ref):
+        assert np.array_equal(got, want)
+    rows = np.array([[rng.randint(0, 1) for _ in range(f.n)] for _ in range(4)], dtype=np.int64)
+    want = [_reference_eval(f, {i + 1: int(v) for i, v in enumerate(row)}) for row in rows]
+    assert packed.count_satisfied(rows).tolist() == want
+    p = bias_profile(f)
+    assert (p.r, p.scale, p.per_var, p.b_f, p.b_star, p.histogram, p.neg_vars) == _reference_bias(f)
+    q = rng.choice([2, 3, 7, 101, 2**61 - 1, 2**89 - 1])
+    h = HashFunction(tuple(rng.randrange(q) for _ in range(rng.randint(1, 3))), q, rng.randint(0, q))
+    assert assignment_from_hash(h, f.n) == {i: h.bit(i) for i in range(1, f.n + 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas_with_duplicates(), st.integers(0, 2**30))
+def test_transforms_match_tuple_reference(f, seed):
+    events, dropped, flip = _reference_two_sat(f)
+    ts = to_two_satisfiable(f)
+    assert _passes(lambda: list(ts.scan())) == (events, {"twosat": 1, "input": 2})
+    assert ts.dropped_pairs == dropped
+    assert _passes(ts.flipped_vars) == (flip, {"twosat": 1, "input": 2})
+    clauses = [e[1] if e[0] == "clause" else (e[1],) for e in events if e[0] != "marker"]
+    assert ts.clauses() == clauses
+    assert ts.formula().clauses == tuple(clauses)
+    assert ts.formula().r == max(map(len, clauses), default=0)
+    neg_vars = frozenset(random.Random(seed).sample(range(1, f.n + 1), f.n // 2))
+    flipped = [tuple(-lit if abs(lit) in neg_vars else lit for lit in c) for c in f.clauses]
+    stream = to_positively_biased(f, neg_vars)
+    assert _passes(lambda: list(stream.scan())) == (flipped, {"posbias": 1, "input": 1})
+    fp, passes = _passes(lambda: flipped_formula(f, neg_vars))
+    assert (fp.n, fp.clauses, fp.r, passes) == (f.n, tuple(flipped), f.r, {"posbias": 1, "input": 1})

@@ -1,9 +1,13 @@
 """Tree decompositions, rebalancing, and the exact bounded-width DP."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +18,7 @@ from satmeter.oracle import exact_maxsat
 from satmeter.planar import gen_planar_instance
 from satmeter.treedp import (
     TreeDecomposition,
+    _min_fill_order,
     bdtw_maxsat,
     planar_ptas,
     rebalance,
@@ -93,6 +98,29 @@ def test_validate_catches_disconnected_occurrence():
     )
     ok, witness = validate_td(f, td)
     assert not ok and "disconnected" in witness
+
+
+def test_validate_td_witness_ignores_hash_seed():
+    # two disconnected occurrence sets; the clause vertex is named first
+    # whatever order the bags' frozensets iterate in
+    script = (
+        "from satmeter.formula import Formula\n"
+        "from satmeter.treedp import TreeDecomposition, validate_td\n"
+        "full = frozenset({('x', 1), ('x', 2), ('C', 1)})\n"
+        "td = TreeDecomposition(bags=(full, frozenset(), full),"
+        " children=((1,), (2,), ()), root=0)\n"
+        "print(validate_td(Formula(n=2, clauses=((1, 2),)), td)[1])\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    witnesses = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        for seed in range(6)
+    }
+    assert witnesses == {"occurrence set of ('C', 1) is disconnected"}
 
 
 def test_rebalance_path_decomposition():
@@ -315,7 +343,8 @@ def test_bdtw_matches_per_frame_reference_random(n, m, copies, seed):
 
 
 def _reference_validate_td(formula, td):
-    """``validate_td`` as it was over a vertex set and an edge set."""
+    """``validate_td`` as it was over a vertex set and an edge set, with
+    occurrence sets checked in sorted vertex order."""
     graph = incidence_graph(formula)
     vertices = set(graph)
     edges = {frozenset((u, v)) for u, nbrs in graph.items() for v in nbrs}
@@ -331,7 +360,7 @@ def _reference_validate_td(formula, td):
         if occurrences[u].isdisjoint(occurrences[v]):
             return False, f"edge {u}-{v} in no bag"
     parent = bfs_tree(td.root, td.children)
-    for v, nodes in occurrences.items():
+    for v, nodes in sorted(occurrences.items()):
         internal = sum(1 for x in nodes if x != td.root and parent[x] in nodes)
         if internal != len(nodes) - 1:
             return False, f"occurrence set of {v} is disconnected"
@@ -430,3 +459,58 @@ def test_bdtw_matches_per_frame_reference_three_children(signs, copies):
     assert validate_td(f, td)[0]
     _assert_dp_contract(td, f)
     _assert_dp_contract(rebalance(td), f)
+
+
+def _reference_min_fill_order(component, graph):
+    """``_min_fill_order`` as it was: every step sorts the vertices left and
+    each neighbour list, and takes the first with the least fill."""
+    work = {v: set(graph[v]) for v in component}
+    remaining = set(component)
+    while remaining:
+        best_v = None
+        best_fill = None
+        for v in sorted(remaining):
+            nl = sorted(work[v])
+            fill = sum(1 for a, b in combinations(nl, 2) if b not in work[a])
+            if best_fill is None or fill < best_fill:
+                best_fill, best_v = fill, v
+                if fill == 0:
+                    break
+        nbrs = sorted(work[best_v])
+        yield best_v, frozenset([best_v, *nbrs])
+        for a, b in combinations(nbrs, 2):
+            work[a].add(b)
+            work[b].add(a)
+        for w in nbrs:
+            work[w].discard(best_v)
+        del work[best_v]
+        remaining.discard(best_v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("random"), st.integers(1, 9), st.integers(0, 24)),
+        st.tuples(st.just("chain"), st.integers(2, 30), st.just(0)),
+        st.tuples(st.just("tree"), st.integers(2, 30), st.just(0)),
+        st.tuples(st.just("grid"), st.integers(1, 5), st.integers(2, 6)),
+    ),
+    st.integers(0, 3),
+    st.integers(0, 2**30),
+)
+def test_min_fill_order_matches_reference(shape, copies, seed):
+    kind, a, b = shape
+    rng = random.Random(seed)
+    if kind == "random":
+        f = random_formula(rng, a, b, min(3, a))
+    else:
+        f = gen_planar_instance(kind, (a, b) if kind == "grid" else a, seed=seed)
+    graph = incidence_graph(_with_duplicates(rng, f, copies))
+    seen = set()
+    for start in sorted(graph):  # every component, as tree_decompose walks them
+        if start not in seen:
+            comp = set(bfs_tree(start, graph))
+            seen |= comp
+            assert list(_min_fill_order(comp, graph)) == list(
+                _reference_min_fill_order(comp, graph)
+            )
