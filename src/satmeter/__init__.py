@@ -1,9 +1,9 @@
 """Space-metered Max-r-SAT approximation toolkit.
 
 Approximation algorithms for Max-r-SAT (1/2, 0.618, sqrt(2)/2 and a planar
-(1-eps) scheme) built on a read-only-input / restartable-stream runtime that
-meters auxiliary space and recomputation passes, with a brute-force oracle
-for end-to-end verification.
+(1-eps) scheme) over a read-only input, metered for auxiliary space and for
+recomputation passes (one charged wherever a derived formula is rebuilt),
+with a brute-force oracle for end-to-end verification.
 """
 
 from satmeter.formula import (
@@ -15,13 +15,12 @@ from satmeter.formula import (
     parse_dimacs,
     serialize_dimacs,
 )
-from satmeter.metering import SpaceReport, Stream, meter_scope
+from satmeter.metering import SpaceReport, meter_scope
 
 __all__ = [
     "Assignment",
     "Formula",
     "SpaceReport",
-    "Stream",
     "clause_histogram",
     "eval_assignment",
     "incidence_graph",

@@ -5,7 +5,7 @@ branch on b_F <= b* and the family parameters ceil(m - b_F),
 ceil(2m - 4 b_F) never move on float error.  The profile is a bincount over
 the formula's clause arrays (stored once, see ``formula``), and the
 positively-biased formula flips them by a sign mask into a derived formula,
-without re-validation.
+without re-validation, charged one ``posbias`` pass each time it is built.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from satmeter.hashfam import (
     family_search,
     field_size_for,
 )
-from satmeter.metering import Stream, meter_scope, note_pass, tracked
+from satmeter.metering import meter_scope, note_pass, tracked
 from satmeter.twosat import SolveResult
 
 
@@ -88,30 +87,16 @@ def bias_profile(formula: Formula) -> BiasProfile:
     return BiasProfile(r, scale, per_var_dict, b_f, b_star, hist, neg_vars)
 
 
-def _sign_flipped(formula: Formula, neg_vars: frozenset[int]) -> Formula:
+def flipped_formula(formula: Formula, neg_vars: frozenset[int]) -> Formula:
+    """The positively-biased formula: every literal over a ``neg_vars``
+    variable flipped by a sign mask; one ``posbias`` and one ``input`` pass."""
+    note_pass("posbias")
+    note_pass("input")
     mask = np.zeros(formula.n + 1, dtype=bool)
     mask[np.fromiter(neg_vars, np.int64, len(neg_vars))] = True
     lits = formula.lits
     flipped = np.where(mask[np.abs(lits)], -lits, lits)
     return Formula.trusted(formula.n, formula.offsets, flipped, formula.r)
-
-
-def to_positively_biased(formula: Formula, neg_vars: frozenset[int]) -> Stream:
-    """Stream of clauses with every literal over a neg-bias variable flipped."""
-
-    def produce() -> Iterator[tuple[int, ...]]:
-        note_pass("input")
-        return iter(_sign_flipped(formula, neg_vars).clauses)
-
-    return Stream("posbias", produce)
-
-
-def flipped_formula(formula: Formula, neg_vars: frozenset[int]) -> Formula:
-    """The posbias stream's clauses as a formula, flipped by a sign mask;
-    charged as one scan of that stream."""
-    note_pass("posbias")
-    note_pass("input")
-    return _sign_flipped(formula, neg_vars)
 
 
 def random_assignment_floor(profile: BiasProfile) -> Fraction:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import sys
 import time
@@ -21,7 +20,7 @@ import numpy as np
 from satmeter import formula as fm
 from satmeter import oracle as orc
 from satmeter.biased import bias_profile, chou_solve
-from satmeter.hashfam import HashFamilySpec, batch_assignments, smallest_prime_geq
+from satmeter.hashfam import HashFamilySpec, _tuples, batch_assignments, smallest_prime_geq
 from satmeter.planar import gen_planar_instance, partition, verify_partition
 from satmeter.treedp import planar_ptas
 from satmeter.twosat import SolveResult, half_approx, ls_solve
@@ -165,7 +164,16 @@ def cmd_partition(args) -> int:
 
 
 def cmd_hashfam(args) -> int:
-    q = args.q or smallest_prime_geq(max(args.n, args.b, 2))
+    if not args.n >= args.k >= 1:
+        raise InputError("need n >= k >= 1")
+    # the family has at least max(n, b, 2)^k members (q^k for a given q):
+    # check that against --limit before the prime search and primality test,
+    # whose trial division does not finish on a large field.  Past the
+    # limit's bit length, any base >= 2 exceeds it, so the exponent stops there.
+    base = args.q or max(args.n, args.b, 2)
+    if base ** min(args.k, args.limit.bit_length() + 1) > args.limit:
+        raise InputError(f"family size {base}^{args.k} exceeds --limit {args.limit}")
+    q = args.q or smallest_prime_geq(base)
     try:
         spec = HashFamilySpec(n=args.n, k=args.k, a=args.a, b=args.b, q=q)
     except ValueError as exc:
@@ -174,7 +182,7 @@ def cmd_hashfam(args) -> int:
         raise InputError(f"family size {spec.size} exceeds --limit {args.limit}")
     marginals = np.zeros(args.n, dtype=np.int64)
     pair = 0
-    for high in itertools.product(range(q), repeat=spec.k - 1):  # block by block
+    for high in _tuples(q, spec.k - 1):  # block by block
         bits = batch_assignments(spec, high)  # one row per function
         marginals += bits.sum(axis=0)
         pair += int(bits[:, :2].all(axis=1).sum())

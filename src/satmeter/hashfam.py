@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from satmeter.formula import Assignment, Formula, pack_clauses
-from satmeter.metering import Stream, note_pass
+from satmeter.metering import note_pass
 
 # Scan budget for the family search.  The threshold candidate is found within
 # the first few coefficient blocks on every instance class we generate; the
@@ -125,14 +125,10 @@ def _tuples(q: int, length: int) -> Iterator[tuple[int, ...]]:
             yield head + (c,)
 
 
-def enum_family(spec: HashFamilySpec) -> Stream:
-    """Restartable stream of all q^k functions, lexicographic in coeffs."""
-
-    def produce() -> Iterator[HashFunction]:
-        for coeffs in _tuples(spec.q, spec.k):
-            yield HashFunction(coeffs=coeffs, q=spec.q, threshold=spec.threshold)
-
-    return Stream(f"hashfam(n={spec.n},k={spec.k},q={spec.q})", produce)
+def enum_family(spec: HashFamilySpec) -> Iterator[HashFunction]:
+    """All q^k functions of the family, lexicographic in coeffs."""
+    for coeffs in _tuples(spec.q, spec.k):
+        yield HashFunction(coeffs=coeffs, q=spec.q, threshold=spec.threshold)
 
 
 def assignment_from_hash(f: HashFunction, n: int) -> Assignment:
@@ -223,7 +219,7 @@ def family_search(
     formula: Formula,
     accept: Callable[[np.ndarray], np.ndarray],
     threshold_desc: str,
-    stream_label: str,
+    pass_label: str,
     scan_cap: int,
 ) -> SearchOutcome:
     """First candidate in enumeration order that ``accept`` passes.
@@ -232,7 +228,8 @@ def family_search(
     count on ``formula``.  If none passes before the family ends or the scan
     reaches ``scan_cap`` (checked after each chunk), the first maximum over
     the scanned candidates is returned with ``fallback`` set.  Every scanned
-    candidate is charged one pass over ``stream_label``.
+    candidate is charged one ``pass_label`` pass: the space model rebuilds
+    ``formula`` for each candidate it scores.
     """
     packed = pack_clauses(formula)
     best_count, best_index, best_coeffs = -1, -1, ()
@@ -247,7 +244,7 @@ def family_search(
         scanned += row + 1 if hits.size else len(counts)
         if hits.size or scanned >= scan_cap:
             break
-    note_pass(stream_label, scanned)
+    note_pass(pass_label, scanned)
     return SearchOutcome(
         function=HashFunction(best_coeffs, spec.q, spec.threshold),
         count=best_count,

@@ -1,8 +1,9 @@
-"""Restartable streams and the auxiliary-space / recomputation-pass meter.
+"""The auxiliary-space / recomputation-pass meter.
 
 The runtime discipline: algorithms get read-only access to their input
-(``Formula`` objects are exempt from accounting), intermediate results are
-*streams* that are recomputed from scratch on every scan, and all auxiliary
+(``Formula`` objects are exempt from accounting), an intermediate result is
+a derived formula rebuilt from the input whenever it is needed, each rebuild
+charged as one pass with ``note_pass`` where it happens, and all auxiliary
 working state is declared to the ambient meter in units of machine words
 ("cells").  Nested consumers compose the way the cost model demands: pass
 counts multiply, live cells add, and a scope's peak is the maximum number of
@@ -14,7 +15,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any
 
 
 @dataclass
@@ -104,24 +105,3 @@ def meter_scope(label: str):
     finally:
         _state.stack.pop()
 
-
-class Stream:
-    """A restartable, recomputation-based item producer.
-
-    ``producer`` must be a zero-argument callable returning a fresh iterator
-    over the same deterministic item sequence each time; ``scan`` re-executes
-    it from the start and records one pass with the ambient meter.
-    """
-
-    def __init__(self, label: str, producer: Callable[[], Iterator[Any]]):
-        self.label = label
-        self._producer = producer
-        self.passes = 0
-
-    def scan(self) -> Iterator[Any]:
-        self.passes += 1
-        note_pass(self.label)
-        return iter(self._producer())
-
-    def __iter__(self) -> Iterator[Any]:
-        return self.scan()

@@ -16,7 +16,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from satmeter.formula import Formula, Vertex, bfs_tree, incidence_graph
-from satmeter.metering import Stream, alloc_cells, free_cells, meter_scope, note_pass, tracked
+from satmeter.metering import meter_scope, note_pass, tracked
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,10 @@ def bfs_levels(graph: dict[Vertex, list[Vertex]], root: Vertex) -> BfsLevels:
     num_vertices = max(len(graph), 2)
     contract_cells = math.isqrt(num_vertices - 1) + 1
     contract_cells *= max(1, math.ceil(math.log2(num_vertices)))
-    with meter_scope("bfs"):
-        alloc_cells(contract_cells)
-        try:
-            level_of: dict[Vertex, int] = {}
-            for v, p in bfs_tree(root, graph).items():
-                level_of[v] = 1 if v == p else level_of[p] + 1
-        finally:
-            free_cells(contract_cells)
+    with meter_scope("bfs"), tracked(contract_cells):
+        level_of: dict[Vertex, int] = {}
+        for v, p in bfs_tree(root, graph).items():
+            level_of[v] = 1 if v == p else level_of[p] + 1
     unreachable_clauses = [v for v in graph if v[0] == "C" and v not in level_of]
     if unreachable_clauses:
         raise ValueError(f"graph not connected: clause vertex {unreachable_clauses[0]} "
@@ -138,9 +134,9 @@ def choose_deletion_band(
     def clause_count(level: int) -> int:
         return sum(1 for v in level_sets[level] if v[0] == "C" and v[1] != skip_clause)
 
-    with tracked(2 * k + 4):  # per-residue counters plus loop registers
-        note_pass("bfs", k)
-        losses = [0] * min(k, d // 2 + 2)
+    losses = [0] * min(k, d // 2 + 2)
+    with tracked(2 * len(losses) + 4):  # per-residue counters plus loop registers
+        note_pass("bfs", len(losses))
         for j in _triple_indices(d):
             for lvl in (2 * j, 2 * j + 1, 2 * j + 2):
                 if 1 <= lvl <= d and lvl % 2 == 0:
@@ -164,9 +160,6 @@ class PartitionResult:
     band: DeletionBand
     levels: BfsLevels
     retained: int
-
-    def stream(self) -> Stream:
-        return Stream("parts", lambda: iter(self.parts))
 
 
 def partition(formula: Formula, k: int) -> PartitionResult:

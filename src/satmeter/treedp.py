@@ -420,7 +420,8 @@ def planar_ptas(
         report = verify_partition(formula, result, k)
         merged: Assignment = {}
         part_infos = []
-        for part in result.stream():
+        note_pass("parts")
+        for part in result.parts:
             val, phi, info = solve_part_exact(part)
             merged |= phi
             part_infos.append(info)

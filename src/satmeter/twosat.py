@@ -2,19 +2,19 @@
 
 The 0.618 pipeline: rewrite the input into a 2-satisfiable formula whose
 unit clauses are all positive (flipping polarity of variables that occur as
-negative unit clauses, with a #NEG marker recording which variables the
-back-transform must un-flip), search an enumerated pairwise-independent
-family of 618/1000-biased assignments for one satisfying more than 0.618 of
-the transformed clauses, and translate the winner back.  The transform works
-on the source's clause arrays (stored once, see ``formula``): a per-variable
-sign mask flips literals, and each scan builds the transformed formula as a
-derived formula, without re-validation.
+negative unit clauses, and recording which variables the back-transform
+must un-flip), search an enumerated pairwise-independent family of
+618/1000-biased assignments for one satisfying more than 0.618 of the
+transformed clauses, and translate the winner back.  The transform works on
+the source's clause arrays (stored once, see ``formula``): a per-variable
+sign mask flips literals, and each use rebuilds the transformed formula as a
+derived formula, without re-validation, charged as one ``twosat`` pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from satmeter.hashfam import (
 from satmeter.metering import SpaceReport, meter_scope, note_pass, tracked
 
 LS_NUM, LS_DEN = 618, 1000
-
-NEG_MARKER = "#NEG"
 
 
 @dataclass
@@ -71,15 +69,13 @@ def half_approx(formula: Formula) -> SolveResult:
 
 @dataclass(frozen=True, eq=False)
 class TwoSatStream:
-    """Restartable event stream of the 2-satisfiable transform.
+    """The 2-satisfiable transform of ``source``, rebuilt on every use.
 
-    Events: ("clause", lits) for transformed clauses (wide clauses and unit
-    clauses, in that order, all emitted units positive), ("marker", "#NEG"),
-    then ("flipped_var", i) for every variable whose value the back-transform
-    must invert.  Variables emitted after the marker also stand for the unit
-    clause (x_i) of the transformed formula.  Every scan recomputes the
-    transformed clause arrays from ``source`` and its sign mask ``flip``
-    and charges one ``twosat`` and two ``input`` passes.
+    ``formula()`` recomputes the transformed formula from ``source`` and its
+    sign mask ``flip``: wide clauses, then positive units, then the units
+    (x_i) of the flipped variables, whose values the back-transform must
+    invert (``flipped_vars``).  Each rebuild charges one ``twosat`` and two
+    ``input`` passes.
     """
 
     source: Formula
@@ -98,11 +94,6 @@ class TwoSatStream:
         lits = np.concatenate((np.where(self.flip[np.abs(wide)], -wide, wide), units))
         return Formula.trusted(f.n, csr_offsets(widths), lits)
 
-    def scan(self) -> Iterator[tuple]:
-        clauses, flipped = self.formula().clauses, np.flatnonzero(self.flip).tolist()
-        events = [("clause", c) for c in clauses[: len(clauses) - len(flipped)]]
-        return iter(events + [("marker", NEG_MARKER)] + [("flipped_var", v) for v in flipped])
-
     def clauses(self) -> list[tuple[int, ...]]:
         return list(self.formula().clauses)
 
@@ -115,11 +106,11 @@ def to_two_satisfiable(formula: Formula) -> TwoSatStream:
     """Transform into a 2-satisfiable formula with all units positive.
 
     Wide clauses have every literal over a flipped variable inverted;
-    positive units are re-emitted once per variable; after #NEG, the flipped
-    variables (negative unit, no positive unit) are emitted, standing both
-    for their positive unit clause and for the back-transform's inversion
-    set.  Complementary unit pairs keep only their positive side.  Flipping
-    is a sign mask over the source's literal array.
+    positive units are re-emitted once per variable; the flipped variables
+    (negative unit, no positive unit) come last, each as its positive unit
+    clause, and form the back-transform's inversion set.  Complementary unit
+    pairs keep only their positive side.  Flipping is a sign mask over the
+    source's literal array.
     """
     units = formula.lits[formula.offsets[:-1][formula.widths == 1]]
     pos = np.zeros(formula.n + 1, dtype=bool)

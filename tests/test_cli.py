@@ -6,6 +6,8 @@ import pytest
 
 from satmeter import oracle as orc
 from satmeter.cli import main
+from satmeter.formula import parse_dimacs
+from satmeter.planar import partition
 
 TRI = "p cnf 2 3\n1 2 0\n-1 0\n2 0\n"
 PAIR = "p cnf 1 2\n1 0\n-1 0\n"
@@ -160,6 +162,15 @@ def test_input_errors_exit_2(capsys, tmp_path):
     hashfam = ["hashfam", "--k", "2", "--a", "1", "--b", "2"]
     assert main(hashfam + ["--n", "1"]) == 2  # n < k
     assert main(hashfam + ["--n", "3", "--q", "4"]) == 2  # q not prime
+    # over --limit before any prime search or primality test on a huge field
+    capsys.readouterr()
+    for spec in (["--b", "1000000000000000000"],
+                 ["--b", "2", "--q", "1000000000000000003", "--limit", "100"]):
+        assert main(["hashfam", "--n", "3", "--k", "2", "--a", "1", *spec]) == 2
+        assert "exceeds --limit" in capsys.readouterr().err
+    assert main(["hashfam", "--n", "3", "--k", "0", "--a", "1",
+                 "--b", "1000000000000000000"]) == 2
+    assert "need n >= k >= 1" in capsys.readouterr().err
 
 
 def test_oracle_cap_exits_2(capsys, tmp_path):
@@ -187,5 +198,14 @@ def test_huge_band_modulus_runs(capsys, tmp_path):
     )
     assert code == 0
     assert rep["satisfied"] == rep["opt"]
+    # the band is charged for the d/2 + 2 residue counters it holds, so any
+    # larger k reports the space of k = d/2 + 2
+    depth = partition(parse_dimacs(chain.read_bytes()), 2).levels.depth
+    code, least = run_json(
+        capsys,
+        ["solve", "--alg", "planar-ptas", "--eps", f"2/{depth // 2 + 2}", str(chain)],
+    )
+    assert code == 0 and least["details"]["k"] == depth // 2 + 2
+    assert rep["space"] == least["space"]
     code, rep = run_json(capsys, ["partition", "--k", "10000000000000", str(chain)])
     assert code == 0 and rep["partition"]["ok"]

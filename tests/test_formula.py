@@ -6,10 +6,10 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satmeter.biased import bias_profile, flipped_formula, to_positively_biased
+from satmeter.biased import bias_profile, flipped_formula
 from satmeter.hashfam import HashFunction, assignment_from_hash
 from satmeter.metering import meter_scope
-from satmeter.twosat import NEG_MARKER, to_two_satisfiable
+from satmeter.twosat import to_two_satisfiable
 from satmeter.formula import (
     Formula,
     FormulaError,
@@ -329,18 +329,18 @@ def _reference_bias(f):
 
 
 def _reference_two_sat(f):
-    """The 2-satisfiable transform as it was: events, dropped pairs, flips."""
+    """The 2-satisfiable transform as it was: clauses (the flipped
+    variables' units last), dropped pairs, flips."""
     pos = {c[0] for c in f.clauses if len(c) == 1 and c[0] > 0}
     neg = {-c[0] for c in f.clauses if len(c) == 1 and c[0] < 0}
     flip = neg - pos
-    events = [
-        ("clause", tuple(-lit if abs(lit) in flip else lit for lit in c))
+    clauses = [
+        tuple(-lit if abs(lit) in flip else lit for lit in c)
         for c in f.clauses if len(c) >= 2
     ]
-    events += [("clause", (v,)) for v in range(1, f.n + 1) if v in pos]
-    events.append(("marker", NEG_MARKER))
-    events += [("flipped_var", v) for v in range(1, f.n + 1) if v in flip]
-    return events, frozenset(pos & neg), frozenset(flip)
+    clauses += [(v,) for v in range(1, f.n + 1) if v in pos]
+    clauses += [(v,) for v in range(1, f.n + 1) if v in flip]
+    return clauses, frozenset(pos & neg), frozenset(flip)
 
 
 def _passes(fn):
@@ -384,18 +384,15 @@ def test_readers_match_tuple_reference(f, seed):
 @settings(max_examples=300, deadline=None)
 @given(formulas_with_duplicates(), st.integers(0, 2**30))
 def test_transforms_match_tuple_reference(f, seed):
-    events, dropped, flip = _reference_two_sat(f)
+    clauses, dropped, flip = _reference_two_sat(f)
     ts = to_two_satisfiable(f)
-    assert _passes(lambda: list(ts.scan())) == (events, {"twosat": 1, "input": 2})
+    fprime, passes = _passes(ts.formula)
+    assert (fprime.clauses, passes) == (tuple(clauses), {"twosat": 1, "input": 2})
+    assert fprime.r == max(map(len, clauses), default=0)
     assert ts.dropped_pairs == dropped
     assert _passes(ts.flipped_vars) == (flip, {"twosat": 1, "input": 2})
-    clauses = [e[1] if e[0] == "clause" else (e[1],) for e in events if e[0] != "marker"]
     assert ts.clauses() == clauses
-    assert ts.formula().clauses == tuple(clauses)
-    assert ts.formula().r == max(map(len, clauses), default=0)
     neg_vars = frozenset(random.Random(seed).sample(range(1, f.n + 1), f.n // 2))
     flipped = [tuple(-lit if abs(lit) in neg_vars else lit for lit in c) for c in f.clauses]
-    stream = to_positively_biased(f, neg_vars)
-    assert _passes(lambda: list(stream.scan())) == (flipped, {"posbias": 1, "input": 1})
     fp, passes = _passes(lambda: flipped_formula(f, neg_vars))
     assert (fp.n, fp.clauses, fp.r, passes) == (f.n, tuple(flipped), f.r, {"posbias": 1, "input": 1})

@@ -77,7 +77,7 @@ def test_hash_function_evaluation():
 
 def test_family_size_and_enumeration_order():
     spec = HashFamilySpec(n=3, k=2, a=1, b=2, q=5)
-    fams = list(enum_family(spec).scan())
+    fams = list(enum_family(spec))
     assert len(fams) == spec.size == 25
     # lexicographic, constant coefficient fastest
     assert [f.coeffs for f in fams[:6]] == [
@@ -89,7 +89,7 @@ def test_family_size_and_enumeration_order():
 def test_pairwise_marginals_exact():
     # spec(n=3, k=2, a=1, b=2, q=5): t=3, marginal exactly 3/5
     spec = HashFamilySpec(n=3, k=2, a=1, b=2, q=5)
-    fams = list(enum_family(spec).scan())
+    fams = list(enum_family(spec))
     t = spec.threshold
     for i in range(1, 4):
         assert sum(f.bit(i) for f in fams) == t * spec.q  # 15 of 25
@@ -100,7 +100,7 @@ def test_pairwise_marginals_exact():
 
 def test_k1_family_is_constant_functions():
     spec = HashFamilySpec(n=3, k=1, a=1, b=2, q=5)
-    fams = list(enum_family(spec).scan())
+    fams = list(enum_family(spec))
     assert len(fams) == 5
     ones = 0
     for f in fams:
@@ -112,7 +112,7 @@ def test_k1_family_is_constant_functions():
 
 def test_three_wise_independence_for_k3():
     spec = HashFamilySpec(n=3, k=3, a=1, b=2, q=3)
-    fams = list(enum_family(spec).scan())
+    fams = list(enum_family(spec))
     assert len(fams) == 27
     t = spec.threshold
     # every triple pattern on 3 distinct points appears with product frequency
@@ -133,7 +133,7 @@ def test_batch_matches_enumeration(n, k, seed):
     b = rng.randint(1, q)
     a = rng.randint(1, b)
     spec = HashFamilySpec(n=n, k=k, a=a, b=b, q=q)
-    fams = list(enum_family(spec).scan())
+    fams = list(enum_family(spec))
     rows = []
     for high in itertools.product(range(q), repeat=k - 1):
         rows.append(batch_assignments(spec, high))
@@ -177,7 +177,7 @@ def test_family_search_matches_plain_scan(q, k, scan_cap, seed):
         out = family_search(
             spec, formula, lambda c: c >= threshold, "test", "clauses", scan_cap
         )
-    fams = list(enum_family(spec).scan())
+    fams = list(enum_family(spec))
     counts = [eval_assignment(formula, assignment_from_hash(f, n)) for f in fams]
     first = next((i for i, c in enumerate(counts) if c >= threshold), None)
 

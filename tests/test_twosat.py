@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from satmeter.formula import Formula, eval_assignment
 from satmeter.oracle import exact_maxsat
 from satmeter.twosat import (
-    NEG_MARKER,
     half_approx,
     ls_search,
     ls_solve,
@@ -42,23 +41,15 @@ def test_half_meets_ratio(n, m, seed):
 
 def test_transform_example_with_negative_unit():
     f = Formula(n=2, clauses=((1, 2), (-1,), (2,)))
-    events = list(to_two_satisfiable(f).scan())
-    assert events == [
-        ("clause", (-1, 2)),
-        ("clause", (2,)),
-        ("marker", NEG_MARKER),
-        ("flipped_var", 1),
-    ]
+    ts = to_two_satisfiable(f)
+    assert ts.clauses() == [(-1, 2), (2,), (1,)]  # the flipped x1's unit last
+    assert ts.flipped_vars() == frozenset({1})
 
 
 def test_transform_complementary_pair():
     f = Formula(n=2, clauses=((1,), (-1,), (2,)))
     ts = to_two_satisfiable(f)
-    assert list(ts.scan()) == [
-        ("clause", (1,)),
-        ("clause", (2,)),
-        ("marker", NEG_MARKER),
-    ]
+    assert ts.clauses() == [(1,), (2,)]
     assert ts.dropped_pairs == frozenset({1})
     assert ts.flipped_vars() == frozenset()
 
