@@ -13,9 +13,12 @@ The DP is the paper's recompute-everything recursion: every extension of a
 frame re-solves every child subtree, which keeps its space to the frames on
 one root-to-leaf path.  Which variables each node extends, the clauses it
 owns and its extension patterns are fixed by the tree, so they are compiled
-into a per-node plan once per ``bdtw_maxsat`` call.  Metering contract: one
-frame is one ``decomposition`` pass, and a frame's cells are live while it
-and the frames below it on the recursion path run.
+into a per-node plan once per ``bdtw_maxsat`` call.  A frame with one
+extension pattern writes no variable, so it runs inside its parent's
+extension loop rather than as a call of its own.  Metering contract: one
+frame is one ``decomposition`` pass, folded frames included, and a frame's
+cells are live while it and the frames below it on the recursion path run;
+frames and peak cells are derived from the compiled plan.
 """
 
 from __future__ import annotations
@@ -254,8 +257,8 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
 
 def _compile_plan(
     td: TreeDecomposition, formula: Formula
-) -> list[tuple[int, tuple, tuple, tuple[int, ...]]]:
-    """Per node: (cell charge, owned clauses, extension patterns, children).
+) -> tuple[list, int, int]:
+    """Per-node plan of the DP, plus its frame count and peak cells.
 
     One walk from the root, parents before children.  A clause is owned by
     the first bag on the walk that holds its vertex: in a valid
@@ -265,13 +268,26 @@ def _compile_plan(
     union of its ancestors' frame variables, so the new variables it extends
     are fixed by the tree.  Owned clauses become ``(var, wanted_bit)``
     pairs, and so does each extension pattern, listed in
-    ``product((0, 1), ...)`` order over the new variables.
+    ``product((0, 1), ...)`` order over the new variables.  A node's frames
+    are its parent's frames times the parent's pattern count, and a frame
+    charges ``len(new) + len(frame vars) + 3`` cells, so the peak is the
+    largest root-to-leaf sum of charges.
+
+    Then a walk children before parents folds every child with one
+    extension pattern into its parent: a choice-free frame writes no
+    variable and reads only variables its ancestors set, so its owned
+    clauses join the parent's and its called children take its place.
+    ``plan[node]`` is ``(owned clauses, extension patterns, called
+    children)``; only the root and the choosing nodes are ever called.
     """
     owned_ids: set[int] = set()
     frame_vars: dict[int, tuple[int, ...]] = {}
     inherited: dict[int, frozenset[int]] = {}
+    frames: dict[int, int] = {}
+    path_cells: dict[int, int] = {}
     plan: list = [None] * td.num_nodes
-    for node, parent in bfs_tree(td.root, td.children).items():
+    walk = bfs_tree(td.root, td.children)
+    for node, parent in walk.items():
         bag = td.bags[node]
         owns = sorted(v[1] for v in bag if v[0] == "C" and v[1] not in owned_ids)
         owned_ids.update(owns)
@@ -285,20 +301,32 @@ def _compile_plan(
         )
         inherited[node] = domain
         new = tuple(v for v in frame_vars[node] if v not in domain)
+        charge = len(new) + len(frame_vars[node]) + 3
+        if node == parent:
+            frames[node], path_cells[node] = 1, charge
+        else:
+            frames[node] = frames[parent] * len(plan[parent][1])
+            path_cells[node] = path_cells[parent] + charge
         owned = tuple(
             tuple((abs(lit), int(lit > 0)) for lit in formula.clauses[j - 1])
             for j in owns
         )
-        plan[node] = (
-            len(new) + len(frame_vars[node]) + 3,
-            owned,
-            tuple(
-                tuple(zip(new, bits))
-                for bits in product((0, 1), repeat=len(new))
-            ),
-            td.children[node],
+        patterns = tuple(
+            tuple(zip(new, bits)) for bits in product((0, 1), repeat=len(new))
         )
-    return plan
+        plan[node] = (owned, patterns, ())
+    for node in reversed(walk):  # children before their parents
+        owned, patterns, _ = plan[node]
+        called: list[int] = []
+        for child in td.children[node]:
+            child_owned, child_patterns, child_called = plan[child]
+            if len(child_patterns) == 1:
+                owned += child_owned
+                called += child_called
+            else:
+                called.append(child)
+        plan[node] = (owned, patterns, tuple(called))
+    return plan, sum(frames.values()), max(path_cells.values())
 
 
 def bdtw_maxsat(
@@ -317,28 +345,26 @@ def bdtw_maxsat(
     The per-node plan (new variables, owned clauses, extension patterns) is
     compiled once per call; frames write into one shared value list and keep
     their best extension as a ``(pattern, child witnesses)`` pair that
-    becomes an assignment only at the root.
+    becomes an assignment only at the root.  A frame with one extension
+    pattern runs inside its parent's extension loop: its clauses are scored
+    there, once per parent extension as before, and its witness part is
+    empty, so the count, the assignment and the tie-break are unchanged.
 
-    Metering: one frame is one ``decomposition`` pass, and a frame holds
-    ``len(new) + len(frame vars) + 3`` cells while it and its descendants
-    run, so the live cells are those of the frames on the recursion path.
-    Frames and the peak live cells are counted as the recursion runs and
-    declared once, inside the ``bdtw`` scope, when the root returns.
+    Metering: one frame is one ``decomposition`` pass, folded frames
+    included, and a frame holds ``len(new) + len(frame vars) + 3`` cells
+    while it and its descendants run, so the live cells are those of the
+    frames on the recursion path.  Frames and the peak live cells are
+    derived from the compiled plan and declared once, inside the ``bdtw``
+    scope, when the root returns.
     """
     ok, witness = validate_td(formula, td)
     if not ok:
         raise ValueError(f"invalid tree decomposition: {witness}")
-    plan = _compile_plan(td, formula)
+    plan, frames, peak = _compile_plan(td, formula)
     value = [0] * (formula.n + 1)
-    frames = live = peak = 0
 
     def solve(node: int) -> tuple[int, tuple]:
-        nonlocal frames, live, peak
-        charge, owned, patterns, children = plan[node]
-        frames += 1
-        live += charge
-        if live > peak:
-            peak = live
+        owned, patterns, children = plan[node]
         best_val = -1
         best: tuple = ()
         for pattern in patterns:
@@ -358,13 +384,12 @@ def bdtw_maxsat(
             if val > best_val:
                 best_val = val
                 best = (pattern, witnesses)
-        live -= charge
         return best_val, best
 
     def unfold(node: int, wit: tuple, ext: dict[int, int]) -> None:
         pattern, witnesses = wit
         ext.update(pattern)
-        for child, cwit in zip(td.children[node], witnesses):
+        for child, cwit in zip(plan[node][2], witnesses):
             unfold(child, cwit, ext)
 
     with meter_scope("bdtw"):

@@ -15,10 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 from satmeter.formula import Formula, bfs_tree, eval_assignment, incidence_graph
 from satmeter.metering import meter_scope, note_pass, tracked
 from satmeter.oracle import exact_maxsat
-from satmeter.planar import gen_planar_instance
+from satmeter.planar import gen_planar_instance, partition
 from satmeter.treedp import (
     TreeDecomposition,
     _min_fill_order,
+    _renumbered,
     bdtw_maxsat,
     planar_ptas,
     rebalance,
@@ -454,6 +455,64 @@ def test_bdtw_matches_per_frame_reference_three_children(signs, copies):
     td = TreeDecomposition(
         bags=tuple(map(frozenset, bags)),
         children=((1, 2, 3), (4,), (), (5,), (), ()),
+        root=0,
+    )
+    assert validate_td(f, td)[0]
+    _assert_dp_contract(td, f)
+    _assert_dp_contract(rebalance(td), f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            st.just("grid"), st.tuples(st.integers(2, 5), st.integers(2, 5)),
+            st.just(8),
+        ),
+        st.tuples(st.just("tree"), st.integers(2, 40), st.just(6)),
+        st.tuples(st.just("chain"), st.integers(2, 40), st.just(6)),
+    ),
+    st.integers(0, 2**30),
+)
+@example(("grid", (5, 5), 8), 1)
+@example(("tree", 40, 6), 1)
+@example(("chain", 40, 6), 1)
+def test_bdtw_matches_per_frame_reference_ptas_parts(shape, seed):
+    # every part the PTAS solves, decomposed as solve_part_exact does
+    kind, size, k = shape
+    f = gen_planar_instance(kind, size, seed=seed)
+    for part in partition(f, k).parts:
+        compact, _ = _renumbered(part)
+        td = rebalance(tree_decompose(incidence_graph(compact)))
+        _assert_dp_contract(td, compact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([1, -1]), min_size=7, max_size=7), st.integers(0, 4))
+def test_bdtw_matches_per_frame_reference_stacked_choice_free(signs, copies):
+    # node 0 has an empty bag, so it extends nothing; nodes 2, 3 and 6
+    # extend nothing either: node 2 holds only x1 and x2, set at node 1,
+    # node 3 owns C2 over x1, set two levels up, and node 6 owns C4 over x4,
+    # set at node 5; node 4 extends x3 below the choice-free node 2
+    a, b, c, d, e, g, h = signs
+    clauses = ((a * 1, b * 2), (c * 1,), (d * 1, e * 3), (g * 4,), (h * 2,))
+    f = Formula(n=4, clauses=clauses + clauses[:copies])
+    bags = [
+        set(),
+        {("x", 1), ("x", 2), ("C", 1), ("C", 5)},
+        {("x", 1), ("x", 2)},
+        {("x", 1), ("C", 2)},
+        {("x", 1), ("x", 3), ("C", 3)},
+        {("x", 4)},
+        {("x", 4), ("C", 4)},
+    ]
+    for j in range(1, copies + 1):  # clause 5 + j duplicates clause j
+        for bag in bags:
+            if ("C", j) in bag:
+                bag.add(("C", 5 + j))
+    td = TreeDecomposition(
+        bags=tuple(map(frozenset, bags)),
+        children=((1, 5), (2,), (3, 4), (), (), (6,), ()),
         root=0,
     )
     assert validate_td(f, td)[0]
