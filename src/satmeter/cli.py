@@ -46,6 +46,14 @@ def _read_formula(path: str) -> fm.Formula:
         raise InputError(str(exc)) from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _instance_id(formula: fm.Formula) -> str:
     digest = hashlib.sha256(fm.serialize_dimacs(formula).encode()).hexdigest()
     return digest[:16]
@@ -154,8 +162,7 @@ def cmd_partition(args) -> int:
     for idx, part in enumerate(result.parts, start=1):
         if args.out_prefix:
             path = f"{args.out_prefix}.part{idx}.cnf"
-            with open(path, "w") as fh:
-                fh.write(fm.serialize_dimacs(part))
+            _write_text(path, fm.serialize_dimacs(part))
             part_files.append(path)
     if part_files:
         report["part_files"] = part_files
@@ -217,8 +224,7 @@ def cmd_gen_planar(args) -> int:
         raise InputError(str(exc)) from exc
     text = fm.serialize_dimacs(formula)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

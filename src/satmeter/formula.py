@@ -252,20 +252,6 @@ def serialize_assignment(phi: Assignment) -> str:
     return "v " + " ".join(str(lit) for lit in lits) + " 0"
 
 
-def parse_assignment(text: str) -> Assignment:
-    phi: Assignment = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line.startswith("v"):
-            continue
-        for tok in line.split()[1:]:
-            lit = int(tok)
-            if lit == 0:
-                continue
-            phi[abs(lit)] = 1 if lit > 0 else 0
-    return phi
-
-
 def eval_assignment(formula: Formula, phi: Assignment) -> int:
     """Number of clauses satisfied by the total assignment `phi`."""
     n = formula.n

@@ -7,6 +7,10 @@ fewest clause vertices, and emit the connected components that remain as
 variable-disjoint subformulas.  Each clause level lands in exactly two
 triples, so the residue classes together count every clause twice and the
 cheapest one loses at most 2m/k clauses.
+
+After the BFS the partition's only state is the level map, vertex -> level.
+Level L lies in triples floor(L/2) and floor((L-1)/2), so the band is a test
+on a vertex's level: one of those two is in the chosen residue class mod k.
 """
 
 from __future__ import annotations
@@ -19,25 +23,15 @@ from satmeter.formula import Formula, Vertex, bfs_tree, incidence_graph
 from satmeter.metering import meter_scope, note_pass, tracked
 
 
-@dataclass(frozen=True)
-class DummyConnection:
-    """Incidence graph connected through a dummy variable vertex."""
-
-    graph: dict[Vertex, list[Vertex]]
-    dummy_var: int
-    dummy_clause_index: int  # 1-based index of the (-dummy_var) clause vertex
-
-
-def connect_with_dummy(formula: Formula) -> DummyConnection:
+def connect_with_dummy(formula: Formula) -> dict[Vertex, list[Vertex]]:
     """Add a dummy variable adjacent to one clause per connected component.
 
-    Only the incidence graph changes: it gains the dummy variable, the
-    vertex ("C", m + 1) of the unit clause (-dummy) and the dummy edges.
-    Variable-only components have no clauses to lose or keep and stay
-    unconnected.
+    Only the incidence graph changes: it gains the dummy variable
+    ("x", n + 1), the vertex ("C", m + 1) of its unit clause (-dummy) and
+    the dummy edges.  Variable-only components have no clauses to lose or
+    keep and stay unconnected.
     """
-    dummy = formula.n + 1
-    dummy_vertex, dummy_clause = ("x", dummy), ("C", formula.m + 1)
+    dummy_vertex, dummy_clause = ("x", formula.n + 1), ("C", formula.m + 1)
     graph = incidence_graph(formula)
     graph[dummy_vertex] = [dummy_clause]
     graph[dummy_clause] = [dummy_vertex]
@@ -52,29 +46,11 @@ def connect_with_dummy(formula: Formula) -> DummyConnection:
             seen.update(bfs_tree(rep, graph))
             graph[dummy_vertex].append(rep)
             graph[rep].append(dummy_vertex)
-
-    return DummyConnection(graph=graph, dummy_var=dummy, dummy_clause_index=formula.m + 1)
-
-
-@dataclass(frozen=True)
-class BfsLevels:
-    """1-based BFS levels from the dummy root, depth rounded up to even."""
-
-    root: Vertex
-    level_of: dict[Vertex, int]
-    depth: int  # d, even
-    raw_depth: int  # d_0
-
-    def level_sets(self) -> list[set[Vertex]]:
-        """levels[i] = vertices at level i (index 0 unused)."""
-        levels: list[set[Vertex]] = [set() for _ in range(self.depth + 1)]
-        for v, lvl in self.level_of.items():
-            levels[lvl].add(v)
-        return levels
+    return graph
 
 
-def bfs_levels(graph: dict[Vertex, list[Vertex]], root: Vertex) -> BfsLevels:
-    """BFS leveling of the incidence graph from `root`.
+def bfs_levels(graph: dict[Vertex, list[Vertex]], root: Vertex) -> dict[Vertex, int]:
+    """1-based BFS levels of the incidence graph from `root`.
 
     Stands in for a sublinear-space planar BFS with the same output
     contract; the metered charge is that contract's sqrt(V)*log(V) cells,
@@ -91,75 +67,55 @@ def bfs_levels(graph: dict[Vertex, list[Vertex]], root: Vertex) -> BfsLevels:
     if unreachable_clauses:
         raise ValueError(f"graph not connected: clause vertex {unreachable_clauses[0]} "
                          "unreachable from root")
-    d0 = max(level_of.values())
-    d = d0 if d0 % 2 == 0 else d0 + 1
-    return BfsLevels(root=root, level_of=level_of, depth=d, raw_depth=d0)
-
-
-@dataclass(frozen=True)
-class DeletionBand:
-    """The cheapest residue class of level triples.
-
-    ``residue_losses`` lists |C(W_i)| for the first min(k, d/2 + 2)
-    residues.  Triples run over j = 0..d/2, so every later residue is empty
-    (loss 0) and residue d/2 + 1 already stands for all of them.
-    """
-
-    k: int
-    chosen_i: int
-    band_vertices: frozenset[Vertex]
-    clause_loss: int  # original clause vertices in the band
-    residue_losses: tuple[int, ...]
-
-
-def _triple_indices(depth: int) -> range:
-    # U_j = L_2j + L_2j+1 + L_2j+2, clipped to existing levels.  j runs from
-    # 0 through d/2 so that head and tail segments stay within 2k-3 levels.
-    return range(0, depth // 2 + 1)
+    return level_of
 
 
 def choose_deletion_band(
-    levels: BfsLevels, k: int, skip_clause: int | None = None
-) -> DeletionBand:
+    level_of: dict[Vertex, int], k: int, skip_clause: int | None = None
+) -> tuple[int, tuple[int, ...]]:
     """Pick the residue class of triples with the fewest clause vertices.
 
-    ``skip_clause`` (the dummy clause index) is excluded from the counts so
-    the 2m/k loss bound is relative to the original clause count.
+    Triples run over j = 0..d/2, d the depth rounded up to even, so that
+    head and tail segments stay within 2k-3 levels.  Returns the chosen
+    residue and |C(W_i)| for the first min(k, d/2 + 2) residues: every later
+    residue is empty (loss 0) and residue d/2 + 1 already stands for all of
+    them.  ``skip_clause`` (the dummy clause index) is excluded from the
+    counts so the 2m/k loss bound is relative to the original clause count.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    level_sets = levels.level_sets()
-    d = levels.depth
-
-    def clause_count(level: int) -> int:
-        return sum(1 for v in level_sets[level] if v[0] == "C" and v[1] != skip_clause)
+    clauses_at: dict[int, int] = {}  # level -> clause vertices on it
+    for v, lvl in level_of.items():
+        if v[0] == "C" and v[1] != skip_clause:
+            clauses_at[lvl] = clauses_at.get(lvl, 0) + 1
+    d = max(level_of.values())
+    d += d % 2
 
     losses = [0] * min(k, d // 2 + 2)
     with tracked(2 * len(losses) + 4):  # per-residue counters plus loop registers
         note_pass("bfs", len(losses))
-        for j in _triple_indices(d):
-            for lvl in (2 * j, 2 * j + 1, 2 * j + 2):
-                if 1 <= lvl <= d and lvl % 2 == 0:
-                    losses[j % k] += clause_count(lvl)
+        for lvl, count in clauses_at.items():  # clause levels are even
+            losses[(lvl // 2 - 1) % k] += count
+            losses[(lvl // 2) % k] += count
         chosen = min(range(len(losses)), key=lambda i: (losses[i], i))
-
-    band: set[Vertex] = set()
-    for j in _triple_indices(d):
-        if j % k == chosen:
-            for lvl in (2 * j, 2 * j + 1, 2 * j + 2):
-                if 1 <= lvl <= d:
-                    band |= level_sets[lvl]
-    return DeletionBand(k, chosen, frozenset(band), losses[chosen], tuple(losses))
+    return chosen, tuple(losses)
 
 
 @dataclass(frozen=True)
 class PartitionResult:
     parts: tuple[Formula, ...]
-    part_vars: tuple[frozenset[int], ...]
     part_clause_indices: tuple[tuple[int, ...], ...]  # 1-based into source
-    band: DeletionBand
-    levels: BfsLevels
-    retained: int
+    level_of: dict[Vertex, int]  # BFS level from the dummy variable
+    chosen_i: int  # the deleted residue class of triples
+    residue_losses: tuple[int, ...]
+
+    @property
+    def retained(self) -> int:
+        return sum(p.m for p in self.parts)
+
+    @property
+    def clause_loss(self) -> int:  # original clause vertices in the band
+        return self.residue_losses[self.chosen_i]
 
 
 def partition(formula: Formula, k: int) -> PartitionResult:
@@ -170,40 +126,37 @@ def partition(formula: Formula, k: int) -> PartitionResult:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    dummy_clause = formula.m + 1
     with meter_scope("partition"):
-        conn = connect_with_dummy(formula)
-        levels = bfs_levels(conn.graph, ("x", conn.dummy_var))
-        band = choose_deletion_band(levels, k, skip_clause=conn.dummy_clause_index)
-        kept = {v for v in levels.level_of if v not in band.band_vertices}
+        graph = connect_with_dummy(formula)
+        level_of = bfs_levels(graph, ("x", formula.n + 1))
+        chosen, losses = choose_deletion_band(level_of, k, skip_clause=dummy_clause)
+        # keep level L unless triple floor(L/2) or floor((L-1)/2) is deleted
+        kept = {
+            v for v, lvl in level_of.items()
+            if (lvl // 2) % k != chosen and ((lvl - 1) // 2) % k != chosen
+        }
         note_pass("bfs", 2)  # band filter pass + component pass
 
-        part_vars: list[frozenset[int]] = []
         part_indices: list[tuple[int, ...]] = []
         seen: set[Vertex] = set()
         for j in range(1, formula.m + 1):
             start = ("C", j)
             if start not in kept or start in seen:
                 continue
-            comp = bfs_tree(start, conn.graph, allowed=kept)
+            comp = bfs_tree(start, graph, allowed=kept)
             seen.update(comp)
-            clause_ids = sorted(
-                v[1] for v in comp
-                if v[0] == "C" and v[1] != conn.dummy_clause_index
-            )
-            var_ids = {v[1] for v in comp if v[0] == "x" and v[1] != conn.dummy_var}
-            if not clause_ids:
-                continue
-            part_vars.append(frozenset(var_ids))
-            part_indices.append(tuple(clause_ids))
+            part_indices.append(tuple(sorted(
+                v[1] for v in comp if v[0] == "C" and v[1] != dummy_clause
+            )))
         parts = formula.subsets([[i - 1 for i in ids] for ids in part_indices])
 
     return PartitionResult(
         parts=tuple(parts),
-        part_vars=tuple(part_vars),
         part_clause_indices=tuple(part_indices),
-        band=band,
-        levels=levels,
-        retained=sum(p.m for p in parts),
+        level_of=level_of,
+        chosen_i=chosen,
+        residue_losses=losses,
     )
 
 
@@ -230,29 +183,30 @@ class PartitionReport:
 def verify_partition(
     formula: Formula, result: PartitionResult, k: int
 ) -> PartitionReport:
-    """Check disjointness, retention >= (1 - 2/k) m and the level-span bound."""
+    """Check disjointness, retention >= (1 - 2/k) m and the level-span bound.
+
+    Each part's variables are read from its own literals, the variables its
+    exact solve assigns.
+    """
     witness = None
-    seen_vars: dict[int, int] = {}
-    for idx, var_set in enumerate(result.part_vars):
-        for var in var_set:
-            if var in seen_vars and seen_vars[var] != idx:
-                witness = var
-            seen_vars[var] = idx
-    disjoint = witness is None
-
-    retained = sum(p.m for p in result.parts)
-    retained_ok = retained * k >= (k - 2) * formula.m
-
-    level_of = result.levels.level_of
+    owner: dict[int, int] = {}
+    level_of = result.level_of
     max_span = 0
-    for clause_ids, var_set in zip(result.part_clause_indices, result.part_vars):
+    for idx, (part, clause_ids) in enumerate(zip(result.parts, result.part_clause_indices)):
+        variables = {abs(lit) for lit in part.lits.tolist()}
+        for var in variables:
+            if owner.setdefault(var, idx) != idx:
+                witness = var
         lvls = [level_of[("C", j)] for j in clause_ids]
-        lvls += [level_of[("x", v)] for v in var_set if ("x", v) in level_of]
-        if lvls:
-            max_span = max(max_span, max(lvls) - min(lvls) + 1)
+        lvls += [level_of[("x", v)] for v in variables]
+        max_span = max(max_span, max(lvls) - min(lvls) + 1)
+    disjoint = witness is None
     span_ok = max_span <= max(2 * k - 3, 1)
 
-    loss_sum = sum(result.band.residue_losses)
+    retained = result.retained
+    retained_ok = retained * k >= (k - 2) * formula.m
+
+    loss_sum = sum(result.residue_losses)
     loss_sum_ok = loss_sum <= 2 * formula.m
 
     return PartitionReport(
@@ -266,18 +220,6 @@ def verify_partition(
         loss_sum=loss_sum,
         loss_sum_ok=loss_sum_ok,
     )
-
-
-def planarity_sanity(formula: Formula) -> bool:
-    """Euler bound for bipartite planar graphs: |E| <= 2|V| - 4.
-
-    The incidence graph has one edge per literal, so |E| is the sum of the
-    clause widths.
-    """
-    vertices = formula.n + formula.m
-    if vertices < 3:
-        return True
-    return formula.lits.size <= 2 * vertices - 4
 
 
 def gen_planar_instance(kind: str, size, seed: int = 0) -> Formula:

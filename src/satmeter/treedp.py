@@ -68,10 +68,6 @@ class TreeDecomposition:
             depth[v] = 0 if v == p else depth[p] + 1
         return max(depth.values())
 
-    @property
-    def binary(self) -> bool:
-        return all(len(c) <= 2 for c in self.children)
-
 
 def _min_fill_order(component: set[Vertex], graph: dict[Vertex, list[Vertex]]):
     """Min-fill elimination of one connected component of ``graph``; yields
@@ -461,8 +457,8 @@ def planar_ptas(
             "k": k,
             "parts": len(result.parts),
             "retained_clauses": result.retained,
-            "band_residue": result.band.chosen_i,
-            "clause_loss": result.band.clause_loss,
+            "band_residue": result.chosen_i,
+            "clause_loss": result.clause_loss,
             "partition_ok": report.ok,
             "part_infos": part_infos,
         },

@@ -13,6 +13,7 @@ import math
 import random
 
 from satmeter.formula import Formula
+from satmeter.planar import gen_planar_instance
 
 
 def random_formula(
@@ -65,3 +66,16 @@ def random_positive_units_formula(
         seen.add(clause)
         clauses.append(clause)
     return Formula(n=n, clauses=tuple(clauses), r=r)
+
+
+def two_chains() -> Formula:
+    """Chains of 12 variables at seeds 0 and 1, the second on variables 13-24.
+
+    At band modulus k = 5 the partition deletes residue 2 and keeps the dummy
+    variable, which joins the first clause of each chain into one part.
+    """
+    first = gen_planar_instance("chain", 12, seed=0)
+    second = gen_planar_instance("chain", 12, seed=1)
+    shifted = tuple(tuple(lit + 12 if lit > 0 else lit - 12 for lit in c)
+                    for c in second.clauses)
+    return Formula(n=24, clauses=first.clauses + shifted)

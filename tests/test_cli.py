@@ -171,6 +171,12 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert main(["hashfam", "--n", "3", "--k", "0", "--a", "1",
                  "--b", "1000000000000000000"]) == 2
     assert "need n >= k >= 1" in capsys.readouterr().err
+    missing = tmp_path / "missing"  # output paths in a directory that is not there
+    assert main(["gen-planar", "--kind", "chain", "--size", "4",
+                 "--out", str(missing / "x.cnf")]) == 2
+    assert f"error: cannot write {missing / 'x.cnf'}" in capsys.readouterr().err
+    assert main(["partition", "--k", "3", "--out-prefix", str(missing / "p"), str(ok)]) == 2
+    assert f"error: cannot write {missing / 'p'}.part1.cnf" in capsys.readouterr().err
 
 
 def test_oracle_cap_exits_2(capsys, tmp_path):
@@ -200,7 +206,8 @@ def test_huge_band_modulus_runs(capsys, tmp_path):
     assert rep["satisfied"] == rep["opt"]
     # the band is charged for the d/2 + 2 residue counters it holds, so any
     # larger k reports the space of k = d/2 + 2
-    depth = partition(parse_dimacs(chain.read_bytes()), 2).levels.depth
+    deepest = max(partition(parse_dimacs(chain.read_bytes()), 2).level_of.values())
+    depth = deepest + deepest % 2
     code, least = run_json(
         capsys,
         ["solve", "--alg", "planar-ptas", "--eps", f"2/{depth // 2 + 2}", str(chain)],

@@ -18,7 +18,6 @@ from satmeter.formula import (
     eval_assignment,
     incidence_graph,
     pack_clauses,
-    parse_assignment,
     parse_dimacs,
     serialize_assignment,
     serialize_dimacs,
@@ -27,6 +26,21 @@ from satmeter.formula import (
 import numpy as np
 
 from conftest import random_formula
+
+
+def parse_assignment(text: str) -> dict[int, int]:
+    """Read the ``v`` lines of a DIMACS assignment, `serialize_assignment`'s inverse."""
+    phi = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line.startswith("v"):
+            continue
+        for tok in line.split()[1:]:
+            lit = int(tok)
+            if lit == 0:
+                continue
+            phi[abs(lit)] = 1 if lit > 0 else 0
+    return phi
 
 
 def test_parse_basic():

@@ -1,10 +1,11 @@
-"""Golden `satmeter solve` reports: every field but `timestamp` must match.
+"""Golden `satmeter solve` and `partition` reports: every field but
+`timestamp` must match.
 
 ``golden_reports.json`` pins the assignment, count, search details and
 metered space (peak cells, pass counts) of a few small instances under every
-algorithm, so a refactor that moves any of them fails here.  When a change
-alters reports on purpose, regenerate the file with
-``PYTHONPATH=src python tests/test_golden_reports.py`` and say why.
+algorithm, and the partition check of one, so a refactor that moves any of
+them fails here.  When a change alters reports on purpose, regenerate the
+file with ``PYTHONPATH=src python tests/test_golden_reports.py`` and say why.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_formula
+from conftest import random_formula, two_chains
 from satmeter.cli import main
 from satmeter.formula import serialize_dimacs
 from satmeter.planar import gen_planar_instance
@@ -39,6 +40,8 @@ INSTANCES = {
     "random-n8-m16-r3": lambda: random_formula(
         random.Random(120), n=8, m=16, r=3
     ),
+    # at k = 5 the band keeps the dummy: one part holds clauses of both chains
+    "chain12-twice": two_chains,
 }
 
 CASES = [
@@ -47,20 +50,26 @@ CASES = [
     ("grid4x4", "planar-ptas", "1/4"),
     ("grid5x6", "planar-ptas", "1/4"),
     ("tree300-seed2", "planar-ptas", "1/5"),
+    ("chain12-twice", "planar-ptas", "2/5"),
     *(("random-n12-m40-r3", alg, None) for alg in ("half", "ls", "chou", "exact")),
     *(("random-n8-m16-r3", alg, None) for alg in ("ls", "chou")),
 ]
+PARTITION_CASES = [("chain12-twice", "5")]
 
 
 def case_id(case) -> str:
     return " ".join(part for part in case if part)
 
 
-def solve_report(case, workdir: Path) -> dict:
-    name, alg, eps = case
+def partition_case_id(case) -> str:
+    name, k = case
+    return f"{name} partition --k {k}"
+
+
+def cli_report(name: str, args: list[str], workdir: Path) -> dict:
     path = workdir / f"{name}.cnf"
     path.write_text(serialize_dimacs(INSTANCES[name]()))
-    argv = ["solve", "--alg", alg] + (["--eps", eps] if eps else []) + [str(path)]
+    argv = args + [str(path)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -70,16 +79,35 @@ def solve_report(case, workdir: Path) -> dict:
     return report
 
 
+def solve_report(case, workdir: Path) -> dict:
+    name, alg, eps = case
+    args = ["solve", "--alg", alg] + (["--eps", eps] if eps else [])
+    return cli_report(name, args, workdir)
+
+
+def partition_report(case, workdir: Path) -> dict:
+    name, k = case
+    return cli_report(name, ["partition", "--k", k], workdir)
+
+
+def assert_golden(key: str, report: dict) -> None:
+    golden = json.loads(GOLDEN.read_text())
+    assert json.dumps(report, sort_keys=True) == json.dumps(golden[key], sort_keys=True)
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_solve_report_matches_golden(case, tmp_path):
-    golden = json.loads(GOLDEN.read_text())
-    report = solve_report(case, tmp_path)
-    assert json.dumps(report, sort_keys=True) == json.dumps(
-        golden[case_id(case)], sort_keys=True
-    )
+    assert_golden(case_id(case), solve_report(case, tmp_path))
+
+
+@pytest.mark.parametrize("case", PARTITION_CASES, ids=partition_case_id)
+def test_partition_report_matches_golden(case, tmp_path):
+    assert_golden(partition_case_id(case), partition_report(case, tmp_path))
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         reports = {case_id(c): solve_report(c, Path(tmp)) for c in CASES}
+        reports |= {partition_case_id(c): partition_report(c, Path(tmp))
+                    for c in PARTITION_CASES}
     GOLDEN.write_text(json.dumps(reports, sort_keys=True, indent=1) + "\n")
