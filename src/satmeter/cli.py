@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input error (a formula over the oracle's variable
 cap is one), 3 internal invariant violation.
-Reports are deterministic for fixed inputs apart from the timestamp field.
+Reports are deterministic for fixed inputs apart from the timestamp field
+and the `oracle` command's runtime_seconds.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
 """Ground-truth engines: brute-force Max-SAT and analytic expectations.
 
 ``exact_maxsat`` enumerates all 2^n assignments (capped at n <= 26) and
-defines OPT for every ratio check in the test suite.  It counts clause by
-clause over bit columns: one boolean column per variable over a block of at
-most 2^20 rows, each clause the OR of its literal columns, added into a
-``uint16`` count (``uint32`` once m >= 2^16).  For n > 20 the top n - 20
-variables index the blocks; inside a block they are constants, so a clause
-is either satisfied outright or loses those literals, and memory stays flat
-in n.
+defines OPT for every ratio check in the test suite.  It counts unsatisfied
+clauses: a clause is false on one subcube of the rows, its variables fixed at
+their falsifying values.  A block of at most 2^20 rows is a count array of
+shape ``(2,) * outer + (2**inner,)``, the last ``inner`` variables one
+contiguous axis; a clause indexes it at its outer literals' falsifying values
+and adds the AND of its inner literals' falsifying columns (or 1) into that
+strided view.  Counts are the smallest of ``uint8``, ``uint16`` and
+``uint32`` that holds m.  For n > 20 the top n - 20 variables index the
+blocks; inside a block they are constants, so a clause is either satisfied
+outright or loses those literals, and memory stays flat in n.
 ``expected_satisfied`` computes the exact rational expectation of the
 satisfied-clause count under independent p-biased variables; for clauses of
 width <= k it coincides with the average over any enumerated k-universal
@@ -24,6 +27,7 @@ from satmeter.formula import Assignment, Formula
 
 ORACLE_VAR_CAP = 26
 _BLOCK_BITS = 20  # enumerate assignments in blocks of 2^20 rows
+_INNER_BITS = 10  # a block's last variables, one contiguous axis
 
 
 class OracleCapError(ValueError):
@@ -71,33 +75,34 @@ def exact_maxsat(formula: Formula) -> tuple[int, Assignment]:
         return 0, {i: 0 for i in range(1, n + 1)}
     low = min(n, _BLOCK_BITS)
     high = n - low
-    columns: dict[int, np.ndarray] = {}  # literal -> its truth over the rows
-
-    def column(lit: int) -> np.ndarray:
-        if lit not in columns:
-            # the variable's bit is 0 on the first `half` rows of every
-            # 2 * half and 1 on the rest
-            half = 1 << (n - abs(lit))
-            period = np.zeros((2, half), dtype=bool)
-            period[int(lit > 0)] = True
-            columns[lit] = np.tile(period.reshape(-1), (1 << low) // (2 * half))
-        return columns[lit]
-
-    dtype = np.uint16 if formula.m < 1 << 16 else np.uint32  # counts <= m
-    counts = np.empty(1 << low, dtype=dtype)
-    sat = np.empty(1 << low, dtype=bool)
+    inner = min(low, _INNER_BITS)
+    outer = low - inner
+    # falsify[v, j]: the rows where inner variable j is v; the first inner
+    # variable is the most significant bit of the row index
+    shifts = np.arange(inner - 1, -1, -1)[:, None]
+    bits = (np.arange(1 << inner) >> shifts) & 1 == 1
+    falsify = np.stack((~bits, bits))
+    m = formula.m  # unsatisfied counts <= m
+    dtype = np.uint8 if m < 1 << 8 else np.uint16 if m < 1 << 16 else np.uint32
+    unsat = np.empty((2,) * outer + (1 << inner,), dtype=dtype)
     best_count = -1
     best_mask = 0
     for block in range(1 << high):  # ascending blocks: ascending masks
         const, reduced = _restrict(formula, block, high)
-        counts.fill(0)
+        unsat.fill(0)
         for clause in reduced:
-            np.copyto(sat, column(clause[0]))
-            for lit in clause[1:]:
-                sat |= column(lit)
-            counts += sat
-        idx = int(np.argmax(counts))  # first maximum: smallest mask
-        count = const + int(counts[idx])
+            cube = [slice(None)] * outer
+            hit = True  # the inner rows where the clause is false
+            for lit in clause:
+                var = abs(lit) - high - 1
+                if var < outer:
+                    cube[var] = int(lit < 0)
+                else:
+                    hit = hit & falsify[int(lit < 0), var - outer]
+            view = unsat[(*cube, ...)]  # add through the view: no write-back
+            view += hit
+        idx = int(np.argmin(unsat))  # first minimum: smallest mask
+        count = const + len(reduced) - int(unsat.flat[idx])
         if count > best_count:
             best_count, best_mask = count, (block << low) | idx
     return best_count, _mask_to_assignment(best_mask, n)

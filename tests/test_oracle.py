@@ -117,17 +117,49 @@ def test_oracle_counts_duplicate_clauses(n, m, picks, seed):
 
 @pytest.mark.parametrize("n", range(5, 10))
 def test_oracle_block_split(monkeypatch, n):
-    """Blocks of 2^3 rows: the top n-3 variables are fixed per block."""
+    """Blocks of 2^3 rows: the top n-3 variables are fixed per block.
+
+    Each inner width splits a block's variables between indexed outer axes
+    and the contiguous inner axis of falsifying columns.
+    """
     monkeypatch.setattr(oracle, "_BLOCK_BITS", 3)
-    rng = random.Random(n)
-    for _ in range(6):
-        f = random_formula(rng, n, rng.randint(1, 4 * n), 3)
-        assert exact_maxsat(f) == _reference_maxsat(f)
-    # a tie across blocks: the witness comes from the first block
-    tie = Formula(n=n, clauses=((1,), (-1,)))
-    assert exact_maxsat(tie) == (1, {i: 0 for i in range(1, n + 1)})
+    for inner in (0, 1, 2, 3):
+        monkeypatch.setattr(oracle, "_INNER_BITS", inner)
+        rng = random.Random(n)
+        for _ in range(6):
+            base = random_formula(rng, n, rng.randint(1, 4 * n), 3)
+            picks = range(rng.randint(1, 6))
+            extra = tuple(rng.choice(base.clauses) for _ in picks)
+            f = Formula(n=n, clauses=base.clauses + extra)
+            assert exact_maxsat(f) == _reference_maxsat(f)
+        # a tie across blocks: the witness comes from the first block
+        tie = Formula(n=n, clauses=((1,), (-1,)))
+        assert exact_maxsat(tie) == (1, {i: 0 for i in range(1, n + 1)})
 
 
 def test_oracle_count_does_not_wrap():
-    f = Formula(n=2, clauses=((1,),) * 70_000)
-    assert exact_maxsat(f) == (70_000, {1: 1, 2: 0})
+    """Counts cross the uint8, uint16 and uint32 boundaries unwrapped."""
+    for m in (255, 256, 65_535, 65_536):
+        f = Formula(n=2, clauses=((1,),) * m)
+        assert exact_maxsat(f) == (m, {1: 1, 2: 0})
+
+
+def test_oracle_n22_known_answers():
+    """Four blocks of 2^20 rows, on formulas whose answer is built in."""
+    n = 22
+    # every clause holds a negative literal: all zeros satisfies all m
+    rng = random.Random(n)
+    clauses = []
+    for _ in range(3 * n):
+        clause = [
+            v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, n + 1), 3)
+        ]
+        if all(lit > 0 for lit in clause):
+            clause[0] = -clause[0]
+        clauses.append(tuple(clause))
+    f = Formula(n=n, clauses=tuple(clauses))
+    assert exact_maxsat(f) == (f.m, {i: 0 for i in range(1, n + 1)})
+    # the n positive units: only all ones, the last row of the last block
+    units = Formula(n=n, clauses=tuple((i,) for i in range(1, n + 1)))
+    assert exact_maxsat(units) == (n, {i: 1 for i in range(1, n + 1)})
