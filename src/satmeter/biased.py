@@ -24,7 +24,6 @@ from satmeter.formula import (
     eval_assignment,
 )
 from satmeter.hashfam import (
-    DEFAULT_SCAN_CAP,
     HashFamilySpec,
     SearchOutcome,
     assignment_from_hash,
@@ -129,9 +128,7 @@ def search_marginal(profile: BiasProfile, m: int) -> Fraction:
     return min(max(p, Fraction(1, 2)), Fraction(1))
 
 
-def chou_search(
-    fprime: Formula, profile: BiasProfile, scan_cap: int = DEFAULT_SCAN_CAP
-) -> SearchOutcome:
+def chou_search(fprime: Formula, profile: BiasProfile) -> SearchOutcome:
     """r-wise family search over the positively-biased formula.
 
     Family parameters a = ceil(m - b_F), b = ceil(2m - 4 b_F); the family
@@ -160,10 +157,10 @@ def chou_search(
 
     spec = HashFamilySpec(n=n, k=k, a=t, b=q, q=q)
     desc = f"c >= ceil({float(target):.4f} - {float(slack):.4f}) = {threshold}"
-    return family_search(spec, fprime, accept, desc, "posbias", scan_cap)
+    return family_search(spec, fprime, accept, desc, "posbias")
 
 
-def chou_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResult:
+def chou_solve(formula: Formula) -> SolveResult:
     """sqrt(2)/2-approximate Max-SAT assignment via the bias branch."""
     with meter_scope("chou_solve") as sc:
         with tracked(10):  # b_F, b*, m_i accumulators, loop registers
@@ -180,7 +177,7 @@ def chou_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResul
                 branch = "all-ones(degenerate denominator)"
             else:
                 with tracked(max(formula.r, 1)):  # candidate coefficients
-                    outcome = chou_search(fprime, profile, scan_cap=scan_cap)
+                    outcome = chou_search(fprime, profile)
                 branch = "family-search"
                 candidate = assignment_from_hash(outcome.function, formula.n)
                 note_pass("posbias", 2)

@@ -21,7 +21,7 @@ import numpy as np
 from satmeter import formula as fm
 from satmeter import oracle as orc
 from satmeter.biased import bias_profile, chou_solve
-from satmeter.hashfam import HashFamilySpec, _tuples, batch_assignments, smallest_prime_geq
+from satmeter.hashfam import HashFamilySpec, _candidate_chunks, smallest_prime_geq
 from satmeter.planar import gen_planar_instance, partition, verify_partition
 from satmeter.treedp import planar_ptas
 from satmeter.twosat import SolveResult, half_approx, ls_solve
@@ -178,10 +178,10 @@ def cmd_hashfam(args) -> int:
     # check that against --limit before the prime search and primality test,
     # whose trial division does not finish on a large field.  Past the
     # limit's bit length, any base >= 2 exceeds it, so the exponent stops there.
-    base = args.q or max(args.n, args.b, 2)
+    base = args.q if args.q is not None else max(args.n, args.b, 2)
     if base ** min(args.k, args.limit.bit_length() + 1) > args.limit:
         raise InputError(f"family size {base}^{args.k} exceeds --limit {args.limit}")
-    q = args.q or smallest_prime_geq(base)
+    q = args.q if args.q is not None else smallest_prime_geq(base)
     try:
         spec = HashFamilySpec(n=args.n, k=args.k, a=args.a, b=args.b, q=q)
     except ValueError as exc:
@@ -190,8 +190,7 @@ def cmd_hashfam(args) -> int:
         raise InputError(f"family size {spec.size} exceeds --limit {args.limit}")
     marginals = np.zeros(args.n, dtype=np.int64)
     pair = 0
-    for high in _tuples(q, spec.k - 1):  # block by block
-        bits = batch_assignments(spec, high)  # one row per function
+    for _, _, bits in _candidate_chunks(spec):  # one row per function
         marginals += bits.sum(axis=0)
         pair += int(bits[:, :2].all(axis=1).sum())
     report = {

@@ -316,39 +316,39 @@ def bfs_tree(start, neighbors, allowed=None) -> dict:
     return parent
 
 
+def components(starts, neighbors, allowed=None):
+    """Yield the ``bfs_tree`` of each start that no earlier tree reached, in
+    ``starts`` order; with ``allowed``, starts outside it are skipped."""
+    seen: set = set()
+    for start in starts:
+        if start not in seen and (allowed is None or start in allowed):
+            tree = bfs_tree(start, neighbors, allowed)
+            seen.update(tree)
+            yield tree
+
+
 @dataclass(frozen=True)
 class PackedClauses:
     """Numpy layout for batched clause evaluation.
 
     ``var_idx[j, s]`` is the 0-based variable index of slot s in clause j,
-    ``negated[j, s]`` whether that slot's literal is negative, ``present``
-    masks the real slots (clauses are padded to the max width).
+    ``negated[j, s]`` whether that slot's literal is negative.  Clauses are
+    padded to the max width by repeating their last literal, which leaves
+    the clause's OR unchanged.
     """
 
     var_idx: np.ndarray
     negated: np.ndarray
-    present: np.ndarray
 
     def count_satisfied(self, assigns: np.ndarray) -> np.ndarray:
         """Satisfied-clause count per row of a (batch, n) 0/1 matrix."""
-        if self.var_idx.shape[0] == 0:
-            return np.zeros(assigns.shape[0], dtype=np.int64)
-        vals = assigns[:, self.var_idx]  # (batch, m, width)
-        lit_true = (vals.astype(bool) ^ self.negated) & self.present
+        lit_true = assigns[:, self.var_idx]  # (batch, m, width), a copy
+        lit_true ^= self.negated  # in place: no second (batch, m, width) array
         return lit_true.any(axis=2).sum(axis=1)
 
 
 def pack_clauses(formula: Formula) -> PackedClauses:
-    widths, lits = formula.widths, formula.lits
-    shape = (formula.m, int(widths.max()) if widths.size else 1)
-    slot = (
-        np.repeat(np.arange(formula.m), widths),
-        np.arange(lits.size) - np.repeat(formula.offsets[:-1], widths),
-    )
-    var_idx = np.zeros(shape, dtype=np.int64)
-    negated = np.zeros(shape, dtype=bool)
-    present = np.zeros(shape, dtype=bool)
-    var_idx[slot] = np.abs(lits) - 1
-    negated[slot] = lits < 0
-    present[slot] = True
-    return PackedClauses(var_idx=var_idx, negated=negated, present=present)
+    widths, offsets = formula.widths, formula.offsets
+    slots = np.arange(int(widths.max()) if widths.size else 1)
+    lits = formula.lits[offsets[:-1, None] + np.minimum(slots, widths[:, None] - 1)]
+    return PackedClauses(var_idx=np.abs(lits) - 1, negated=lits < 0)

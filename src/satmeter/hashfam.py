@@ -220,7 +220,7 @@ def family_search(
     accept: Callable[[np.ndarray], np.ndarray],
     threshold_desc: str,
     pass_label: str,
-    scan_cap: int,
+    scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> SearchOutcome:
     """First candidate in enumeration order that ``accept`` passes.
 

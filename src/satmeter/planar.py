@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 
-from satmeter.formula import Formula, Vertex, bfs_tree, incidence_graph
+from satmeter.formula import Formula, Vertex, bfs_tree, components, incidence_graph
 from satmeter.metering import meter_scope, note_pass, tracked
 
 
@@ -37,15 +37,12 @@ def connect_with_dummy(formula: Formula) -> dict[Vertex, list[Vertex]]:
     graph[dummy_clause] = [dummy_vertex]
 
     # one representative clause per connected component of the original
-    # graph: the lowest-indexed clause, since each walk starts at the first
-    # clause not yet seen
-    seen: set[Vertex] = set()
-    for j in range(1, formula.m + 1):
-        rep = ("C", j)
-        if rep not in seen:
-            seen.update(bfs_tree(rep, graph))
-            graph[dummy_vertex].append(rep)
-            graph[rep].append(dummy_vertex)
+    # graph: the lowest-indexed clause, the start of its component's walk;
+    # it gains its dummy edge only after that walk
+    for tree in components([("C", j) for j in range(1, formula.m + 1)], graph):
+        rep = next(iter(tree))
+        graph[dummy_vertex].append(rep)
+        graph[rep].append(dummy_vertex)
     return graph
 
 
@@ -138,17 +135,11 @@ def partition(formula: Formula, k: int) -> PartitionResult:
         }
         note_pass("bfs", 2)  # band filter pass + component pass
 
-        part_indices: list[tuple[int, ...]] = []
-        seen: set[Vertex] = set()
-        for j in range(1, formula.m + 1):
-            start = ("C", j)
-            if start not in kept or start in seen:
-                continue
-            comp = bfs_tree(start, graph, allowed=kept)
-            seen.update(comp)
-            part_indices.append(tuple(sorted(
-                v[1] for v in comp if v[0] == "C" and v[1] != dummy_clause
-            )))
+        starts = [("C", j) for j in range(1, formula.m + 1)]
+        part_indices = [
+            tuple(sorted(v[1] for v in comp if v[0] == "C" and v[1] != dummy_clause))
+            for comp in components(starts, graph, allowed=kept)
+        ]
         parts = formula.subsets([[i - 1 for i in ids] for ids in part_indices])
 
     return PartitionResult(

@@ -37,6 +37,7 @@ from satmeter.formula import (
     Formula,
     Vertex,
     bfs_tree,
+    components,
     eval_assignment,
     incidence_graph,
 )
@@ -106,17 +107,10 @@ def tree_decompose(graph: dict[Vertex, list[Vertex]]) -> TreeDecomposition:
     """Valid (heuristic-width) decomposition via min-fill elimination.
 
     Disconnected graphs get per-component decompositions joined under an
-    empty root bag.
+    empty root bag; the empty graph is that bag alone.
     """
-    if not graph:
-        return TreeDecomposition(bags=(frozenset(),), children=((),), root=0)
-    comps: list[set[Vertex]] = []
-    seen: set[Vertex] = set()
-    for start in sorted(graph):
-        if start not in seen:
-            comps.append(set(bfs_tree(start, graph)))
-            seen |= comps[-1]
-    joined = len(comps) > 1  # node 0 is then the shared empty root bag
+    comps = [set(tree) for tree in components(sorted(graph), graph)]
+    joined = len(comps) != 1  # node 0 is then the shared empty root bag
     bags: list[frozenset[Vertex]] = [frozenset()] if joined else []
     children: list[list[int]] = [[]] if joined else []
     roots = []
@@ -195,7 +189,6 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
         return len(out_bags) - 1
 
     def build(nodes: set[int], boundary: tuple[int, ...]) -> int:
-        boundary = tuple(dict.fromkeys(boundary))  # dedupe, keep order
         bbag = frozenset().union(*(td.bags[b] for b in boundary)) if boundary else frozenset()
         if len(nodes) == 1:
             (only,) = nodes
@@ -223,10 +216,8 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
         root = emit(td.bags[s] | bbag)
         rest = nodes - {s}
         subtree_roots: list[int] = []
-        unseen = set(rest)
-        while unseen:
-            comp = set(bfs_tree(min(unseen), adj, allowed=rest))
-            unseen -= comp
+        for tree in components(sorted(rest), adj, allowed=rest):
+            comp = set(tree)
             sub_boundary = tuple(
                 sorted({b for b in boundary if b in comp}
                        | {w for w in adj[s] if w in comp})

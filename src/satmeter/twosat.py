@@ -27,7 +27,6 @@ from satmeter.formula import (
     pack_clauses,
 )
 from satmeter.hashfam import (
-    DEFAULT_SCAN_CAP,
     HashFamilySpec,
     HashFunction,
     SearchOutcome,
@@ -124,7 +123,7 @@ def to_two_satisfiable(formula: Formula) -> TwoSatStream:
     return TwoSatStream(source=formula, pos_units=pos, flip=neg & ~pos, dropped_pairs=dropped)
 
 
-def ls_search(ts: TwoSatStream, scan_cap: int = DEFAULT_SCAN_CAP) -> SearchOutcome:
+def ls_search(ts: TwoSatStream) -> SearchOutcome:
     """Search Univ(n, 2, 618, 1000) for a candidate with c > 0.618 m'."""
     formula = ts.formula()
     m_prime, n = formula.m, formula.n
@@ -146,18 +145,18 @@ def ls_search(ts: TwoSatStream, scan_cap: int = DEFAULT_SCAN_CAP) -> SearchOutco
         return counts * LS_DEN > LS_NUM * m_prime
 
     return family_search(
-        spec, formula, accept, f"c > {LS_NUM}/{LS_DEN} * {m_prime}", "twosat", scan_cap
+        spec, formula, accept, f"c > {LS_NUM}/{LS_DEN} * {m_prime}", "twosat"
     )
 
 
-def ls_solve(formula: Formula, scan_cap: int = DEFAULT_SCAN_CAP) -> SolveResult:
+def ls_solve(formula: Formula) -> SolveResult:
     """0.618-approximate Max-SAT assignment via the 2-satisfiable transform."""
     with meter_scope("ls_solve") as sc:
         with tracked(12):  # m', thresholds, best count/index, loop registers
             ts = to_two_satisfiable(formula)
             m_prime = ts.formula().m
             with tracked(2):  # candidate coefficient pair
-                outcome = ls_search(ts, scan_cap=scan_cap)
+                outcome = ls_search(ts)
             flipped = ts.flipped_vars()
             if outcome.function is None:  # unset by the search: default to 1
                 phi = all_const_assignment(formula.n, 1)

@@ -162,6 +162,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
     hashfam = ["hashfam", "--k", "2", "--a", "1", "--b", "2"]
     assert main(hashfam + ["--n", "1"]) == 2  # n < k
     assert main(hashfam + ["--n", "3", "--q", "4"]) == 2  # q not prime
+    capsys.readouterr()
+    assert main(hashfam + ["--n", "3", "--q", "0"]) == 2  # 0 is a given q, not "unset"
+    assert "q must be prime and >= max(n, b)" in capsys.readouterr().err
     # over --limit before any prime search or primality test on a huge field
     capsys.readouterr()
     for spec in (["--b", "1000000000000000000"],

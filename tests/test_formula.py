@@ -14,7 +14,9 @@ from satmeter.formula import (
     Formula,
     FormulaError,
     all_const_assignment,
+    bfs_tree,
     clause_histogram,
+    components,
     eval_assignment,
     incidence_graph,
     pack_clauses,
@@ -135,6 +137,33 @@ def test_incidence_graph_trivial_cases():
         ("x", 1): [("C", 1)],
         ("C", 1): [("x", 1)],
     }
+
+
+def _reference_components(starts, graph, allowed):
+    """The seen-set loop each caller of ``components`` used to write."""
+    trees, seen = [], set()
+    for start in starts:
+        if start in seen or (allowed is not None and start not in allowed):
+            continue
+        tree = bfs_tree(start, graph, allowed)
+        seen.update(tree)
+        trees.append(tree)
+    return trees
+
+
+@given(st.integers(1, 12), st.data())
+def test_components_match_seen_set_loop(size, data):
+    edges = data.draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))))
+    graph = {v: [] for v in range(size)}
+    for a, b in edges:
+        graph[a].append(b)
+        graph[b].append(a)
+    starts = data.draw(st.permutations(range(size)))
+    starts = starts[: data.draw(st.integers(0, size))]
+    allowed = data.draw(st.none() | st.sets(st.integers(0, size - 1)))
+    got = [list(t.items()) for t in components(starts, graph, allowed)]
+    want = [list(t.items()) for t in _reference_components(starts, graph, allowed)]
+    assert got == want
 
 
 def test_assignment_roundtrip():
@@ -318,14 +347,15 @@ def _reference_eval(f, phi):
 
 
 def _reference_pack(f):
+    """Each clause padded to the max width by repeating its last literal."""
     width = max((len(c) for c in f.clauses), default=1)
     var_idx = np.zeros((f.m, width), dtype=np.int64)
     negated = np.zeros((f.m, width), dtype=bool)
-    present = np.zeros((f.m, width), dtype=bool)
     for j, clause in enumerate(f.clauses):
-        for s, lit in enumerate(clause):
-            var_idx[j, s], negated[j, s], present[j, s] = abs(lit) - 1, lit < 0, True
-    return var_idx, negated, present
+        for s in range(width):
+            lit = clause[min(s, len(clause) - 1)]
+            var_idx[j, s], negated[j, s] = abs(lit) - 1, lit < 0
+    return var_idx, negated
 
 
 def _reference_bias(f):
@@ -383,7 +413,7 @@ def test_readers_match_tuple_reference(f, seed):
     assert eval_assignment(f, phi) == _reference_eval(f, phi)
     packed = pack_clauses(f)
     ref = _reference_pack(f)
-    for got, want in zip((packed.var_idx, packed.negated, packed.present), ref):
+    for got, want in zip((packed.var_idx, packed.negated), ref, strict=True):
         assert np.array_equal(got, want)
     rows = np.array([[rng.randint(0, 1) for _ in range(f.n)] for _ in range(4)], dtype=np.int64)
     want = [_reference_eval(f, {i + 1: int(v) for i, v in enumerate(row)}) for row in rows]

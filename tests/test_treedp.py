@@ -57,6 +57,11 @@ def test_decompose_single_vertex():
     assert td.width == 0
 
 
+def test_decompose_empty_graph():
+    td = tree_decompose({})
+    assert (td.bags, td.children, td.root) == ((frozenset(),), ((),), 0)
+
+
 def test_decompose_disconnected_graph():
     f = Formula(n=4, clauses=((1, 2), (3, 4)))
     td = tree_decompose(incidence_graph(f))
