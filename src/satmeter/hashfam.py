@@ -166,20 +166,29 @@ def batch_assignments(
         acc = (acc * points + c) % q
     acc = (acc * points) % q  # still missing the constant term
     c0 = np.arange(c0_start, c0_stop, dtype=np.int64)
-    evals = (acc[None, :] + c0[:, None]) % q
+    evals = acc + c0[:, None]  # the one (rows, n) int64 buffer
+    evals %= q
     return evals < t
 
 
+# Cells one chunk of candidates may span: rows times the larger of n and the
+# cells a row takes in a caller's per-row work (``row_cells``)
+CHUNK_CELLS = 1 << 20
+
+
 def _candidate_chunks(
-    spec: HashFamilySpec,
+    spec: HashFamilySpec, row_cells: int
 ) -> Iterator[tuple[tuple[int, ...], int, np.ndarray]]:
     """(high_coeffs, c0_start, bits) chunks covering the family in order.
 
-    Chunks start at one row and double up to 2_000_000 // n rows, the size
-    carried across blocks, so an early hit evaluates few rows and the
-    candidate bit matrix stays small.
+    Chunks start at one row and double up to
+    ``CHUNK_CELLS // max(n, row_cells)`` rows (at least one), the size
+    carried across blocks, so an early hit evaluates few rows and neither
+    the candidate matrices nor a caller's per-row work on them (the
+    ``(rows, m, width)`` literal copy of ``count_satisfied``) grows past
+    about ``CHUNK_CELLS`` cells.
     """
-    max_chunk = max(1, 2_000_000 // spec.n)
+    max_chunk = max(1, CHUNK_CELLS // max(spec.n, row_cells))
     chunk = 1
     for high in _tuples(spec.q, spec.k - 1):
         c0 = 0
@@ -234,7 +243,7 @@ def family_search(
     packed = pack_clauses(formula)
     best_count, best_index, best_coeffs = -1, -1, ()
     scanned = 0  # also the family index of the chunk's first row
-    for high, c0, bits in _candidate_chunks(spec):
+    for high, c0, bits in _candidate_chunks(spec, packed.var_idx.size):
         counts = packed.count_satisfied(bits)
         hits = np.flatnonzero(accept(counts))
         row = int(hits[0]) if hits.size else int(np.argmax(counts))

@@ -13,12 +13,16 @@ The DP is the paper's recompute-everything recursion: every extension of a
 frame re-solves every child subtree, which keeps its space to the frames on
 one root-to-leaf path.  Which variables each node extends, the clauses it
 owns and its extension patterns are fixed by the tree, so they are compiled
-into a per-node plan once per ``bdtw_maxsat`` call.  A frame with one
-extension pattern writes no variable, so it runs inside its parent's
-extension loop rather than as a call of its own.  Metering contract: one
-frame is one ``decomposition`` pass, folded frames included, and a frame's
-cells are live while it and the frames below it on the recursion path run;
-frames and peak cells are derived from the compiled plan.
+into a per-node plan of int bit masks once per ``bdtw_maxsat`` call: the
+assignment is one int, each pattern is pre-scored against the clauses over
+the variables it sets, and the rest of each clause is tested once per
+frame.  A frame with one extension pattern writes no variable, and a leaf
+frame (one with no called children) makes no call of its own, so both run
+inside their parent's extension loop rather than as calls of their own.
+Metering contract: one frame is one ``decomposition`` pass, folded and leaf
+frames included, and a frame's cells are live while it and the frames below
+it on the recursion path run; frames and peak cells are derived from the
+variables each node extends, before any pattern is built.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Any
 
 import numpy as np
@@ -242,9 +245,50 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
     )
 
 
-def _compile_plan(
-    td: TreeDecomposition, formula: Formula
-) -> tuple[list, int, int]:
+def _patterns(new: int) -> list[int]:
+    """Every extension over the variables of mask ``new``, each as the mask
+    of its variables set to 1, in ``product((0, 1), ...)`` order over the
+    variables ascending; built by doubling, the lowest variable first."""
+    pats = [0]
+    while new:
+        low = new & -new
+        pats = [pat | b for pat in pats for b in (0, low)]
+        new ^= low
+    return pats
+
+
+def _split(tests: list, mask: int, pats: list[int]) -> tuple[list, list[int]]:
+    """Split clause tests at the variables of ``mask``.
+
+    A test ``(bit, pos, neg)`` holds when a variable of ``pos`` is 1 or one
+    of ``neg`` is 0.  Returns the non-empty halves outside ``mask``, still
+    to be tested, and per pattern over ``mask`` the bits of the tests whose
+    half inside it the pattern satisfies.
+    """
+    rest = []
+    sat = [0] * len(pats)
+    for bit, pos, neg in tests:
+        if (pos | neg) & ~mask:
+            rest.append((bit, pos & ~mask, neg & ~mask))
+        pos &= mask
+        neg &= mask
+        if pos | neg:
+            for p, pat in enumerate(pats):
+                if pat & pos or neg & ~pat:
+                    sat[p] |= bit
+    return rest, sat
+
+
+def _held(tests: list, assign: int) -> int:
+    """The bits of the tests that ``assign`` satisfies."""
+    bits = 0
+    for bit, pos, neg in tests:
+        if assign & pos or neg & ~assign:
+            bits |= bit
+    return bits
+
+
+def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[dict, int, int]:
     """Per-node plan of the DP, plus its frame count and peak cells.
 
     One walk from the root, parents before children.  A clause is owned by
@@ -253,66 +297,83 @@ def _compile_plan(
     shallowest one.  A frame's variables are its bag's variables plus those
     of its owned clauses, and its inherited assignment always covers the
     union of its ancestors' frame variables, so the new variables it extends
-    are fixed by the tree.  Owned clauses become ``(var, wanted_bit)``
-    pairs, and so does each extension pattern, listed in
-    ``product((0, 1), ...)`` order over the new variables.  A node's frames
-    are its parent's frames times the parent's pattern count, and a frame
-    charges ``len(new) + len(frame vars) + 3`` cells, so the peak is the
-    largest root-to-leaf sum of charges.
+    are fixed by the tree.  Variable sets are int masks, bit ``v`` for
+    ``x_v``.  A node's frames are its parent's frames times 2^|parent's
+    new|, and a frame charges ``|new| + |frame vars| + 3`` cells, so the
+    peak is the largest root-to-leaf sum of charges; both are known before
+    any pattern list exists.
 
-    Then a walk children before parents folds every child with one
-    extension pattern into its parent: a choice-free frame writes no
-    variable and reads only variables its ancestors set, so its owned
-    clauses join the parent's and its called children take its place.
-    ``plan[node]`` is ``(owned clauses, extension patterns, called
-    children)``; only the root and the choosing nodes are ever called.
+    Then a walk children before parents folds every child with no new
+    variable into its parent: a choice-free frame writes no variable and
+    reads only variables its ancestors set, so its owned clauses join the
+    parent's and its called children take its place.  Only the root and the
+    choosing nodes are called.  ``plan[node]`` is ``(tests, sat, patterns,
+    leaves, calls)``: a clause is bit i of the node's clause list; ``sat[p]``
+    holds the clauses that pattern p satisfies over the new variables, and
+    ``tests`` the halves over inherited variables, tested once per frame.  A
+    called child with no called children of its own (a leaf) runs inside
+    the node's extension loop: ``leaves`` holds per leaf ``(above, pp, sat,
+    patterns)``, its clauses split again at the node's new variables into
+    ``above`` (tested once per node frame) and ``pp[p]`` (satisfied by the
+    node's pattern p).  ``calls`` lists the other called children.
     """
+    clauses = formula.clauses
     owned_ids: set[int] = set()
-    frame_vars: dict[int, tuple[int, ...]] = {}
-    inherited: dict[int, frozenset[int]] = {}
+    below: dict[int, int] = {}  # the variables set above a node's children
+    new: dict[int, int] = {}
     frames: dict[int, int] = {}
     path_cells: dict[int, int] = {}
-    plan: list = [None] * td.num_nodes
+    owned: dict[int, list[tuple[int, int]]] = {}
     walk = bfs_tree(td.root, td.children)
     for node, parent in walk.items():
         bag = td.bags[node]
-        owns = sorted(v[1] for v in bag if v[0] == "C" and v[1] not in owned_ids)
+        owns = sorted(i for kind, i in bag if kind == "C" and i not in owned_ids)
         owned_ids.update(owns)
-        varset = {v[1] for v in bag if v[0] == "x"}
+        mask = sum(1 << i for kind, i in bag if kind == "x")
+        owned[node] = []
         for j in owns:
-            varset.update(abs(lit) for lit in formula.clauses[j - 1])
-        frame_vars[node] = tuple(sorted(varset))
-        domain = (
-            frozenset() if node == parent
-            else inherited[parent].union(frame_vars[parent])
-        )
-        inherited[node] = domain
-        new = tuple(v for v in frame_vars[node] if v not in domain)
-        charge = len(new) + len(frame_vars[node]) + 3
+            pos = sum(1 << lit for lit in clauses[j - 1] if lit > 0)
+            neg = sum(1 << -lit for lit in clauses[j - 1] if lit < 0)
+            owned[node].append((pos, neg))
+            mask |= pos | neg
+        domain = 0 if node == parent else below[parent]
+        new[node] = mask & ~domain
+        below[node] = domain | mask
+        charge = new[node].bit_count() + mask.bit_count() + 3
         if node == parent:
             frames[node], path_cells[node] = 1, charge
         else:
-            frames[node] = frames[parent] * len(plan[parent][1])
+            frames[node] = frames[parent] << new[parent].bit_count()
             path_cells[node] = path_cells[parent] + charge
-        owned = tuple(
-            tuple((abs(lit), int(lit > 0)) for lit in formula.clauses[j - 1])
-            for j in owns
-        )
-        patterns = tuple(
-            tuple(zip(new, bits)) for bits in product((0, 1), repeat=len(new))
-        )
-        plan[node] = (owned, patterns, ())
+    called: dict[int, list[int]] = {}
     for node in reversed(walk):  # children before their parents
-        owned, patterns, _ = plan[node]
-        called: list[int] = []
+        called[node] = []
         for child in td.children[node]:
-            child_owned, child_patterns, child_called = plan[child]
-            if len(child_patterns) == 1:
-                owned += child_owned
-                called += child_called
+            if new[child]:
+                called[node].append(child)
             else:
-                called.append(child)
-        plan[node] = (owned, patterns, tuple(called))
+                owned[node] += owned[child]
+                called[node] += called[child]
+
+    def split_own(node: int) -> tuple[list, list[int], list[int]]:
+        pats = _patterns(new[node])
+        tests = [(1 << i, pos, neg) for i, (pos, neg) in enumerate(owned[node])]
+        return (*_split(tests, new[node], pats), pats)
+
+    plan: dict = {}
+    stack = [td.root]
+    while stack:
+        node = stack.pop()
+        tests, sat, pats = split_own(node)
+        leaves, calls = [], []
+        for child in called[node]:
+            if called[child]:
+                calls.append(child)
+                stack.append(child)
+            else:
+                ltests, lsat, lpats = split_own(child)
+                leaves.append((*_split(ltests, new[node], pats), lsat, lpats))
+        plan[node] = (tests, sat, pats, leaves, calls)
     return plan, sum(frames.values()), max(path_cells.values())
 
 
@@ -329,18 +390,21 @@ def bdtw_maxsat(
     its vertex, so sibling values add without double counting.  Ties go to
     the lexicographically smallest extension.
 
-    The per-node plan (new variables, owned clauses, extension patterns) is
-    compiled once per call; frames write into one shared value list and keep
-    their best extension as a ``(pattern, child witnesses)`` pair that
-    becomes an assignment only at the root.  A frame with one extension
-    pattern runs inside its parent's extension loop: its clauses are scored
-    there, once per parent extension as before, and its witness part is
-    empty, so the count, the assignment and the tie-break are unchanged.
+    The per-node plan is compiled once per call.  The assignment is one int,
+    bit ``v`` for ``x_v``, passed down by value; a frame scores extension
+    pattern p as ``(held | sat[p]).bit_count()``, where ``held`` holds the
+    owned clauses its inherited variables satisfy, tested once per frame.
+    A frame keeps its best extension as ``(pattern index, leaf pattern
+    indices, child witnesses)``, which becomes an assignment only at the
+    root.  A frame with one extension pattern runs inside its parent's
+    extension loop, and so does a leaf frame, one with no called children;
+    either is scored once per parent extension as before, so the count, the
+    assignment and the tie-break are unchanged.
 
-    Metering: one frame is one ``decomposition`` pass, folded frames
-    included, and a frame holds ``len(new) + len(frame vars) + 3`` cells
-    while it and its descendants run, so the live cells are those of the
-    frames on the recursion path.  Frames and the peak live cells are
+    Metering: one frame is one ``decomposition`` pass, folded and leaf
+    frames included, and a frame holds ``len(new) + len(frame vars) + 3``
+    cells while it and its descendants run, so the live cells are those of
+    the frames on the recursion path.  Frames and the peak live cells are
     derived from the compiled plan and declared once, inside the ``bdtw``
     scope, when the root returns.
     """
@@ -348,46 +412,51 @@ def bdtw_maxsat(
     if not ok:
         raise ValueError(f"invalid tree decomposition: {witness}")
     plan, frames, peak = _compile_plan(td, formula)
-    value = [0] * (formula.n + 1)
 
-    def solve(node: int) -> tuple[int, tuple]:
-        owned, patterns, children = plan[node]
+    def solve(node: int, assign: int) -> tuple[int, tuple]:
+        tests, sat, pats, leaves, calls = plan[node]
+        held = _held(tests, assign)
+        legs = [(_held(above, assign), pp, lsat) for above, pp, lsat, _ in leaves]
         best_val = -1
         best: tuple = ()
-        for pattern in patterns:
-            for v, b in pattern:
-                value[v] = b
-            val = 0
-            for clause in owned:
-                for v, want in clause:
-                    if value[v] == want:
-                        val += 1
-                        break
+        for p, pat in enumerate(pats):
+            val = (held | sat[p]).bit_count()
+            qs = []
+            for top, pp, lsat in legs:
+                lheld = top | pp[p]
+                lval = -1
+                for q, s in enumerate(lsat):
+                    if (c := (lheld | s).bit_count()) > lval:
+                        lval, lq = c, q
+                val += lval
+                qs.append(lq)
             witnesses = []
-            for child in children:
-                cval, cwit = solve(child)
+            for child in calls:
+                cval, cwit = solve(child, assign | pat)
                 val += cval
                 witnesses.append(cwit)
             if val > best_val:
                 best_val = val
-                best = (pattern, witnesses)
+                best = (p, qs, witnesses)
         return best_val, best
 
-    def unfold(node: int, wit: tuple, ext: dict[int, int]) -> None:
-        pattern, witnesses = wit
-        ext.update(pattern)
-        for child, cwit in zip(plan[node][2], witnesses):
-            unfold(child, cwit, ext)
+    def unfold(node: int, wit: tuple) -> int:
+        p, qs, witnesses = wit
+        _, _, pats, leaves, calls = plan[node]
+        assign = pats[p]
+        for (*_, lpats), q in zip(leaves, qs):
+            assign |= lpats[q]
+        for child, cwit in zip(calls, witnesses):
+            assign |= unfold(child, cwit)
+        return assign
 
     with meter_scope("bdtw"):
-        val, wit = solve(td.root)
+        val, wit = solve(td.root, 0)
         note_pass("decomposition", frames)
         alloc_cells(peak)
         free_cells(peak)
-    ext: dict[int, int] = {}
-    unfold(td.root, wit, ext)
-    phi = {i: ext.get(i, 0) for i in range(1, formula.n + 1)}
-    return val, phi
+    assign = unfold(td.root, wit)
+    return val, {i: assign >> i & 1 for i in range(1, formula.n + 1)}
 
 
 def _renumbered(part: Formula) -> tuple[Formula, dict[int, int]]:

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from satmeter.formula import Formula, eval_assignment
 from satmeter.hashfam import (
+    CHUNK_CELLS,
     HashFamilySpec,
     HashFunction,
+    _candidate_chunks,
     assignment_from_hash,
     batch_assignments,
     enum_family,
@@ -152,6 +154,27 @@ def test_batch_chunking_matches_full_block():
         batch_assignments(spec, (2,), s, min(s + 3, 7)) for s in (0, 3, 6)
     ]
     assert np.array_equal(np.concatenate(parts, axis=0), full)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from([7, 29, 101]),
+    st.integers(1, 2),
+    st.sampled_from([0, 2**15, 2**17, 2**19, 2**20, 2**21]),
+)
+def test_candidate_chunks_bounded_and_tiling(n, q, k, row_cells):
+    k = min(k, n)
+    spec = HashFamilySpec(n=n, k=k, a=1, b=2, q=q)
+    coeffs, rows = [], []
+    for high, c0, bits in _candidate_chunks(spec, row_cells):
+        assert len(bits) == 1 or len(bits) * max(n, row_cells) <= CHUNK_CELLS
+        coeffs += [high + (c0 + i,) for i in range(len(bits))]
+        rows.append(bits)
+    # the chunks cover the family once, in enumeration order
+    assert coeffs == list(itertools.product(range(q), repeat=k))
+    whole = [batch_assignments(spec, high) for high in itertools.product(range(q), repeat=k - 1)]
+    assert np.array_equal(np.concatenate(rows), np.concatenate(whole))
 
 
 @settings(max_examples=80, deadline=None)

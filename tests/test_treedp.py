@@ -525,6 +525,51 @@ def test_bdtw_matches_per_frame_reference_stacked_choice_free(signs, copies):
     _assert_dp_contract(rebalance(td), f)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, -1]), min_size=23, max_size=23),
+    st.lists(st.integers(1, 11), max_size=4),
+)
+@example([1] * 23, [])
+@example([1, -1] * 11 + [1], [3, 8, 10])
+def test_bdtw_matches_per_frame_reference_lifted_leaves(signs, copies):
+    # node 0 extends x1 and node 1 extends x2; node 1's called children
+    # alternate leaf (2), non-leaf (3, over leaf 4), leaf (6, adopted
+    # through the choice-free node 5) and non-leaf (7, over leaf 8).  Leaf
+    # clause C3 reads x2, set by the parent, and x1, set two levels up; C4
+    # reads only x1, above the parent; C6 and C10 read a variable set by
+    # their parent and one set further up; C8 reads x1 and x2 through the
+    # folded node 5
+    s = iter(signs)
+    shapes = ((1,), (1, 2), (1, 2, 3), (1,), (2, 4), (2, 4, 5), (1, 2),
+              (1, 2, 6), (2, 7), (1, 7, 8), (3,))
+    clauses = tuple(tuple(next(s) * v for v in vs) for vs in shapes)
+    f = Formula(n=8, clauses=clauses + tuple(clauses[j - 1] for j in copies))
+    bags = [
+        {("x", 1), ("C", 1)},
+        {("x", 1), ("x", 2), ("C", 2)},
+        {("x", 1), ("x", 2), ("x", 3), ("C", 3), ("C", 4), ("C", 11)},
+        {("x", 2), ("x", 4), ("C", 5)},
+        {("x", 2), ("x", 4), ("x", 5), ("C", 6)},
+        {("x", 1), ("x", 2), ("C", 7)},
+        {("x", 1), ("x", 2), ("x", 6), ("C", 8)},
+        {("x", 1), ("x", 2), ("x", 7), ("C", 9)},
+        {("x", 1), ("x", 7), ("x", 8), ("C", 10)},
+    ]
+    for dup, j in enumerate(copies, start=12):  # clause dup duplicates clause j
+        for bag in bags:
+            if ("C", j) in bag:
+                bag.add(("C", dup))
+    td = TreeDecomposition(
+        bags=tuple(map(frozenset, bags)),
+        children=((1,), (2, 3, 5, 7), (), (4,), (), (6,), (), (8,), ()),
+        root=0,
+    )
+    assert validate_td(f, td)[0]
+    _assert_dp_contract(td, f)
+    _assert_dp_contract(rebalance(td), f)
+
+
 def _reference_min_fill_order(component, graph):
     """``_min_fill_order`` as it was: every step sorts the vertices left and
     each neighbour list, and takes the first with the least fill."""
