@@ -56,8 +56,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _instance_id(formula: fm.Formula) -> str:
-    digest = hashlib.sha256(fm.serialize_dimacs(formula).encode()).hexdigest()
-    return digest[:16]
+    """First 16 hex digits of SHA-256 over little-endian int64 n (wider if n
+    exceeds int64), clause widths and literals: the validated arrays, so
+    duplicate literals are collapsed."""
+    n = formula.n
+    digest = hashlib.sha256(n.to_bytes(max(8, n.bit_length() // 8 + 1), "little", signed=True))
+    for part in (formula.widths, formula.lits):
+        digest.update(np.ascontiguousarray(part, dtype="<i8"))
+    return digest.hexdigest()[:16]
 
 
 def _base_report(formula: fm.Formula) -> dict:
@@ -74,8 +80,7 @@ def _base_report(formula: fm.Formula) -> dict:
 
 
 def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, sort_keys=True, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True, default=str) + "\n")
 
 
 def _solve_report(formula: fm.Formula, algorithm: str, result: SolveResult,

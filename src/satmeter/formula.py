@@ -7,9 +7,11 @@ is ``lits[offsets[j]:offsets[j + 1]]``.  Parsing and public construction
 validate those arrays with numpy; formulas derived from a valid one (sign
 flips, clause subsets, renumberings) come from ``Formula.trusted`` and skip
 re-validation.  ``formula.clauses``, the tuple-of-tuples view, is built on
-first use.  Assignments are plain ``{var: 0/1}`` dicts.  The incidence graph
-is a plain adjacency dict over ``("x", i)`` and ``("C", j)`` vertices, the
-mapping ``bfs_tree`` walks.
+first use.  DIMACS text is tokenized on its bytes by numpy where the
+clause section holds only digits, '-' and ASCII blanks, and read line by
+line otherwise.  Assignments are plain ``{var: 0/1}`` dicts.  The
+incidence graph is a plain adjacency dict over ``("x", i)`` and
+``("C", j)`` vertices, the mapping ``bfs_tree`` walks.
 """
 
 from __future__ import annotations
@@ -194,22 +196,11 @@ def _header(line: str, data: list[str]) -> tuple[int, int]:
     raise FormulaError(f"malformed header: {line!r}")
 
 
-def parse_dimacs(text: str | bytes) -> Formula:
-    """Parse DIMACS CNF text into a Formula.
-
-    Accepts 'c' and '%' comment lines, a 'p cnf n m' header and 0-terminated
-    clauses (possibly spanning lines, the last 0 optional).  The clause lines
-    are tokenized together into one literal array and validated as the
-    ``Formula`` arrays.  A clause-count mismatch is a warning only; the
-    actual count is trusted.
-    """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormulaError(f"input is not UTF-8: {exc}") from exc
-    n = declared_m = None
-    data: list[str] = []
+def _lines(text: str, n: int | None = None, declared_m: int | None = None,
+           data: list[str] | None = None) -> tuple[int | None, int | None, list[str]]:
+    """Read DIMACS lines on from the state (n, declared m, clause lines)
+    that the input's earlier lines left; return the new state."""
+    data = [] if data is None else data
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line[0] in "c%":
@@ -220,10 +211,89 @@ def parse_dimacs(text: str | bytes) -> Formula:
             raise FormulaError("clause data before 'p cnf' header")
         else:
             data.append(line)
-    if n is None:
-        raise FormulaError("missing 'p cnf' header")
-    ints = _ints(" ".join(data).split())
-    tokens = _as_int64(ints)
+    return n, declared_m, data
+
+
+# the bytes of a clause section the byte tokenizer reads, and a translation
+# table that maps them to 0 and every other byte to 1; a token of at most
+# 18 digits fits int64
+_CLAUSE_BYTES = b"0123456789- \t\r\n"
+_OTHER_BYTES = bytes(c not in _CLAUSE_BYTES for c in range(256))
+_DIGITS = np.zeros(256, dtype=np.uint8)
+_DIGITS[list(b"0123456789")] = range(10)
+_MAX_DIGITS = 18
+
+
+def _head_end(raw: bytes) -> int:
+    """Where the head ends: after the first '\\n' past the input's last byte
+    outside ``_CLAUSE_BYTES`` (comments, header), 0 if it has none."""
+    last = raw.translate(_OTHER_BYTES).rfind(1)
+    if last < 0:
+        return 0
+    end = raw.find(b"\n", last)
+    return end + 1 if end >= 0 else len(raw)
+
+
+def _byte_tokens(raw: bytes, cut: int) -> np.ndarray | None:
+    """The integers in ``raw[cut:]`` as int64, where ``raw[cut - 1]`` is a
+    line end and every later byte is in ``_CLAUSE_BYTES``; None unless every
+    token is ``-?[0-9]{1,18}``.
+
+    Tokens are the runs of bytes above the space.  Their values are built
+    digit by digit from the right, in place in one token-sized array: a
+    token's byte before its start is a blank or its sign, which counts 0.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    tok = buf[cut - 1 :] > 32
+    edges = np.flatnonzero(tok[1:] != tok[:-1]) + cut
+    if edges.size % 2:
+        edges = np.append(edges, buf.size)
+    starts, ends = edges[::2], edges[1::2]
+    neg = buf[starts] == ord("-")
+    size = ends - starts - neg
+    if np.count_nonzero(buf[cut:] == ord("-")) != np.count_nonzero(neg):
+        return None  # a '-' inside a token
+    if size.size and not 1 <= size.min() <= size.max() <= _MAX_DIGITS:
+        return None
+    value = np.zeros(size.size, dtype=np.int64)
+    at, before = np.empty_like(ends), starts - 1
+    for k in range(int(size.max()) if size.size else 0, 0, -1):
+        np.maximum(np.subtract(ends, k, out=at), before, out=at)  # k-th byte from the end
+        value *= 10
+        value += _DIGITS[buf[at]]
+    np.negative(value, out=value, where=neg)
+    return value
+
+
+def parse_dimacs(text: str | bytes) -> Formula:
+    """Parse DIMACS CNF text into a Formula.
+
+    Accepts 'c' and '%' comment lines, a 'p cnf n m' header and 0-terminated
+    clauses (possibly spanning lines, the last 0 optional).  The head, up
+    to the line of the last byte other than ASCII digits, '-' and blanks,
+    is read line by line.  If it holds the header and no clause line, the
+    byte tokenizer reads the rest; otherwise, or if a token there is not
+    ``-?[0-9]{1,18}``, the rest is read line by line too, which reports
+    every error.  The literals are validated as the ``Formula`` arrays.  A
+    clause-count mismatch is a warning only; the actual count is trusted.
+    """
+    is_str = isinstance(text, str)
+    errors = "surrogatepass" if is_str else "strict"  # a str may hold lone surrogates
+    raw = text.encode("utf-8", errors) if is_str else text
+    cut = _head_end(raw)
+    try:
+        head = raw[:cut].decode("utf-8", errors)  # the rest is ASCII
+    except UnicodeDecodeError as exc:
+        raise FormulaError(f"input is not UTF-8: {exc}") from exc
+    n, declared_m, data = _lines(head)
+    tokens = _byte_tokens(raw, cut) if n is not None and not data else None
+    ints = None
+    if tokens is None:
+        n, declared_m, data = _lines(raw[cut:].decode("ascii"), n, declared_m, data)
+        if n is None:
+            raise FormulaError("missing 'p cnf' header")
+        ints = _ints(" ".join(data).split())
+        tokens = _as_int64(ints)
     ends = tokens == 0
     lits = tokens[~ends]
     # literal i belongs to the group after the terminators before it; groups
@@ -249,7 +319,7 @@ def serialize_dimacs(formula: Formula) -> str:
 def serialize_assignment(phi: Assignment) -> str:
     """Render an assignment in solver-output convention: 'v 1 -2 3 ... 0'."""
     lits = [var if phi[var] else -var for var in sorted(phi)]
-    return "v " + " ".join(str(lit) for lit in lits) + " 0"
+    return "v " + " ".join(["%d"] * len(lits)) % tuple(lits) + " 0"
 
 
 def eval_assignment(formula: Formula, phi: Assignment) -> int:

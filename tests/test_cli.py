@@ -1,13 +1,18 @@
 """CLI subcommands: exit codes, JSON schema, determinism."""
 
+import hashlib
+import io
 import json
+import warnings
 
+import numpy as np
 import pytest
 
+from satmeter import cli
 from satmeter import oracle as orc
-from satmeter.cli import main
-from satmeter.formula import parse_dimacs
-from satmeter.planar import partition
+from satmeter.cli import _instance_id, main
+from satmeter.formula import parse_dimacs, serialize_dimacs
+from satmeter.planar import gen_planar_instance, partition
 
 TRI = "p cnf 2 3\n1 2 0\n-1 0\n2 0\n"
 PAIR = "p cnf 1 2\n1 0\n-1 0\n"
@@ -83,6 +88,60 @@ def test_solve_deterministic_modulo_timestamp(capsys, tri_path):
     a.pop("timestamp")
     b.pop("timestamp")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "args", [["--alg", "ls", "--oracle"], ["--alg", "planar-ptas", "--eps", "1/3"]]
+)
+def test_emit_writes_json_dump_text(capsys, monkeypatch, tmp_path, args):
+    path = tmp_path / "chain.cnf"
+    path.write_text(serialize_dimacs(gen_planar_instance("chain", 12, seed=4)))
+    reports, build = [], cli._solve_report
+    monkeypatch.setattr(cli, "_solve_report", lambda *a: reports.append(build(*a)) or reports[-1])
+    assert main(["solve", *args, str(path)]) == 0
+    want = io.StringIO()
+    json.dump(reports[0], want, sort_keys=True, default=str)
+    assert capsys.readouterr().out == want.getvalue() + "\n"
+
+
+ID_BASE = "p cnf 3 2\n1 -2 0\n3 0\n"
+ID_SAME = [
+    "p cnf 3 2\n 1\t-2   0\n\n 3 0",  # whitespace, no final line end
+    "p cnf 3 2\r\n1 -2 0\r\n3 0\r\n",
+    "c a comment\np cnf 3 2\nc another\n1 -2 0\n%\n3 0\n",
+    "p cnf 3 2\n1\n-2\n0 3\n0\n",  # clauses split over lines
+    "p cnf 3 2\n1 -2 1 -2 0\n3 3 0\n",  # duplicate literals
+    "p cnf 3 5\n1 -2 0 0\n3 0\n",  # header count and a run of terminators
+]
+ID_DIFFERENT = [
+    "p cnf 4 2\n1 -2 0\n3 0\n",  # n
+    "p cnf 3 2\n3 0\n1 -2 0\n",  # clause order
+    "p cnf 3 2\n1 2 0\n3 0\n",  # a literal's sign
+    "p cnf 3 2\n1 0\n-2 3 0\n",  # a clause boundary
+    "p cnf 3 2\n-2 1 0\n3 0\n",  # literal order
+]
+
+
+def _id(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return _instance_id(parse_dimacs(text))
+
+
+def test_instance_id_hashes_the_int64_arrays():
+    blob = np.array([3, 2, 1, 1, -2, 3], dtype="<i8").tobytes()  # n, widths, lits
+    assert _id(ID_BASE) == hashlib.sha256(blob).hexdigest()[:16]
+    assert _id("p cnf 2 1\n1 2 0\n") != _id("p cnf 2 2\n1 0 2 0\n")
+    big = 2**70  # n beyond int64 is hashed in as many bytes as it needs
+    assert _id(f"p cnf {big} 0\n") != _id(f"p cnf {big + 1} 0\n")
+
+
+def test_instance_id_follows_the_formula_not_the_text():
+    base = _id(ID_BASE)
+    for text in [ID_BASE, *ID_SAME]:
+        assert _id(text) == _id(text.encode()) == base, text
+    ids = [_id(text) for text in ID_DIFFERENT]
+    assert len({base, *ids}) == 1 + len(ids)
 
 
 def test_bias_report(capsys, tri_path):

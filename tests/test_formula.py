@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from satmeter.biased import bias_profile, flipped_formula
 from satmeter.hashfam import HashFunction, assignment_from_hash
 from satmeter.metering import meter_scope
+from satmeter import formula as fm
 from satmeter.twosat import to_two_satisfiable
 from satmeter.formula import (
     Formula,
     FormulaError,
+    _byte_tokens,
     all_const_assignment,
     bfs_tree,
     clause_histogram,
@@ -278,10 +281,14 @@ def _array_parse(text):
     return f.n, f.clauses, f.r
 
 
+# tokens the byte reader refuses or reads with care: signs, leading zeros,
+# 19 digits (its limit is 18), and separators only the line reader splits at
 ODD_TOKENS = ["x", "1.5", "+2", "1_0", "--1", "99999999999999999999999",
-              "-99999999999999999999999", str(2**63), str(-(2**63)), str(2**63 - 1)]
+              "-99999999999999999999999", str(2**63), str(-(2**63)), str(2**63 - 1),
+              "-0", "007", "-", "1-", "1000000000000000000", "-1000000000000000001",
+              "0000000000000000002", "\x0b", "\x0c", "\xa0"]
 ODD_HEADERS = ["p cnf x 2", "p dnf 2 1", "p cnf -1 1", "p cnf 2", "pcnf 2 1"]
-COMMENTS = ["c a comment", "%", "  c 1 2 0", "", " \t ", "c", "%  0"]
+COMMENTS = ["c a comment", "%", "  c 1 2 0", "", " \t ", "c", "%  0", "c non-ASCII: ∀x ¬x é"]
 
 
 @st.composite
@@ -309,14 +316,87 @@ def dimacs_texts(draw):
         header = draw(st.sampled_from(ODD_HEADERS))
     at = 0 if draw(st.integers(0, 7)) else draw(st.integers(0, len(lines)))
     lines.insert(at, header)
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(0, draw(st.sampled_from(COMMENTS)))
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 @settings(max_examples=400, deadline=None)
 @given(dimacs_texts())
 def test_parse_matches_tuple_reference(text):
+    want = _outcome(_reference_parse, text)
+    assert _outcome(_array_parse, text) == want
+    assert _outcome(_array_parse, text.encode()) == want
+    with mock.patch.object(fm, "_byte_tokens", lambda raw, cut: None):  # lines alone
+        assert _outcome(_array_parse, text.encode()) == want
+
+
+def _read_by_bytes(text: str) -> bool:
+    """Whether ``parse_dimacs`` takes the byte tokenizer's literals."""
+    got = []
+    with mock.patch.object(fm, "_byte_tokens", lambda *a: got.append(_byte_tokens(*a)) or got[-1]):
+        _outcome(_array_parse, text)
+    return bool(got) and got[0] is not None
+
+
+@pytest.mark.parametrize(
+    "text, by_bytes",
+    [
+        ("p cnf 2 2\n1 -2 0\n2 0\n", True),
+        ("p cnf 2 2\n1 -2 0\n2", True),  # no final 0 or line end
+        ("c non-ASCII: ∀x\n%\np cnf 2 2\r\n1 -2 0\r\n\t2 0\r\n", True),
+        ("p cnf 2 2\nc before any clause line\n1 -2 0\n2 0\n", True),
+        ("p cnf 2 2\n-0 007 -2 0 2 0\n", True),
+        ("p cnf 2 2\n1 -2 0\nc after a clause line\n2 0\n", False),
+        ("p cnf 2 2\r1 -2 0\r2 0\r", False),  # the head runs to the first '\n'
+        ("p cnf 2 2\r\n1 -2 0\r2 0\r", True),
+        ("p cnf 2 2\n1 -2 0\n2 0\n%\n0\n", False),
+        ("p cnf 2 2\n1\x0b-2 0\n2 0\n", False),
+        ("p cnf 2 2\n1\xa0-2 0\n2 0\n", False),
+        ("p cnf 2 2\n+1 -2 0\n2 0\n", False),
+        ("p cnf 2 2\n1 -2 0\n2- 0\n", False),
+        ("p cnf 2 2\n1 -2 0\n- 2 0\n", False),
+        ("p cnf 2 2\n1 -2 0\n0000000000000000002 0\n", False),
+        ("p cnf 2 1\np cnf 2 2\n1 -2 0\n2 0\n", True),
+        ("1 -2 0\n", False),
+        ("", False),
+    ],
+)
+def test_byte_reader_takes_plain_clause_sections(text, by_bytes):
+    """The byte reader reads what follows the last line holding a byte other
+    than digits, '-' and ASCII blanks, when no clause line precedes it."""
+    assert _read_by_bytes(text) == _read_by_bytes(text.encode()) == by_bytes
     assert _outcome(_array_parse, text) == _outcome(_reference_parse, text)
-    assert _outcome(_array_parse, text.encode()) == _outcome(_reference_parse, text)
+
+
+def test_parse_text_outside_utf8():
+    """A lone surrogate in a str comment reads as before; undecodable bytes
+    are reported where the whole input's decoding fails."""
+    text = "c \ud800\np cnf 1 1\n1 0\n"
+    assert _read_by_bytes(text) and _array_parse(text) == _reference_parse(text)
+    for raw in [b"c \xff\np cnf 1 1\n1 0\n", b"p cnf 1 1\n1 0\n1 \xc3\n0\n", b"p cnf 1 1\n1 0 \xe2\x88"]:
+        with pytest.raises(UnicodeDecodeError) as exc:
+            raw.decode("utf-8")
+        with pytest.raises(FormulaError, match=f"^input is not UTF-8: {exc.value}$"):
+            parse_dimacs(raw)
+
+
+BOUNDARY_TOKENS = ["0", "-0", "007", "-007", "1", "-1", "9" * 18, "-" + "9" * 18,
+                   "0" * 18, "-" + "0" * 18, "1" + "0" * 17, "-1" + "0" * 17, "0" * 17 + "1"]
+BEYOND_TOKENS = ["1" + "0" * 18, "-1" + "0" * 18, "0" * 19, "0" * 18 + "1", "9" * 19,
+                 str(2**63 - 1), str(-(2**63)), str(2**63), "9" * 30]
+
+
+def test_byte_tokens_match_int_at_int64_boundary():
+    """Tokens of up to 18 digits read as ``int`` reads them, also at the end
+    of the input; a 19th digit sends the input to the line reader."""
+    for end in ("\n", ""):
+        raw = ("\n" + " \t".join(BOUNDARY_TOKENS) + end).encode()
+        assert _byte_tokens(raw, 1).tolist() == [int(t) for t in BOUNDARY_TOKENS]
+    for tok in BEYOND_TOKENS:
+        assert _byte_tokens(f"\n1 {tok} 0\n".encode(), 1) is None
+        text = f"p cnf 1 1\n1 {tok} 0\n"
+        assert _outcome(_array_parse, text) == _outcome(_reference_parse, text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -409,8 +489,10 @@ def formulas_with_duplicates(draw):
 def test_readers_match_tuple_reference(f, seed):
     rng = random.Random(seed)
     assert serialize_dimacs(f) == _reference_serialize(f)
-    phi = {i: rng.randint(0, 1) for i in range(1, f.n + 1)}
+    phi = {i: rng.randint(0, 1) for i in rng.sample(range(1, f.n + 1), f.n)}
     assert eval_assignment(f, phi) == _reference_eval(f, phi)
+    text = "v " + " ".join(str(v if phi[v] else -v) for v in sorted(phi)) + " 0"
+    assert serialize_assignment(phi) == text
     packed = pack_clauses(f)
     ref = _reference_pack(f)
     for got, want in zip((packed.var_idx, packed.negated), ref, strict=True):
