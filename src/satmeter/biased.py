@@ -17,9 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from satmeter.formula import (
-    Assignment,
     Formula,
-    all_const_assignment,
     clause_histogram,
     eval_assignment,
 )
@@ -168,7 +166,7 @@ def chou_solve(formula: Formula) -> SolveResult:
             fprime = flipped_formula(formula, profile.neg_vars)
             m = formula.m
             outcome = None
-            phi_fprime = all_const_assignment(formula.n, 1)
+            phi = np.ones(formula.n, dtype=bool)  # over fprime until un-flipped
             if m == 0:
                 branch = "empty"
             elif profile.b_f > profile.b_star:
@@ -181,10 +179,9 @@ def chou_solve(formula: Formula) -> SolveResult:
                 branch = "family-search"
                 candidate = assignment_from_hash(outcome.function, formula.n)
                 note_pass("posbias", 2)
-                if eval_assignment(fprime, candidate) >= eval_assignment(fprime, phi_fprime):
-                    phi_fprime = candidate
-            neg = profile.neg_vars  # back-transform: un-flip those variables
-            phi: Assignment = {i: 1 - v if i in neg else v for i, v in phi_fprime.items()}
+                if eval_assignment(fprime, candidate) >= eval_assignment(fprime, phi):
+                    phi = candidate
+            phi[[var - 1 for var in profile.neg_vars]] ^= True  # back-transform
             count = eval_assignment(formula, phi)
     details = {
         "branch": branch,

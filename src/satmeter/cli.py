@@ -1,7 +1,7 @@
 """Batch front door: parse, solve, partition, audit; JSON reports out.
 
-Exit codes: 0 success, 2 input error (a formula over the oracle's variable
-cap is one), 3 internal invariant violation.
+Exit codes: 0 success, 2 input error (n above ``formula.MAX_VARS``, or over
+the oracle's variable cap, is one), 3 internal invariant violation.
 Reports are deterministic for fixed inputs apart from the timestamp field
 and the `oracle` command's runtime_seconds.
 """
@@ -56,12 +56,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _instance_id(formula: fm.Formula) -> str:
-    """First 16 hex digits of SHA-256 over little-endian int64 n (wider if n
-    exceeds int64), clause widths and literals: the validated arrays, so
-    duplicate literals are collapsed."""
-    n = formula.n
-    digest = hashlib.sha256(n.to_bytes(max(8, n.bit_length() // 8 + 1), "little", signed=True))
-    for part in (formula.widths, formula.lits):
+    """First 16 hex digits of SHA-256 over little-endian int64 n, clause
+    widths and literals: the validated arrays, so duplicate literals are
+    collapsed."""
+    digest = hashlib.sha256()
+    for part in ([formula.n], formula.widths, formula.lits):
         digest.update(np.ascontiguousarray(part, dtype="<i8"))
     return digest.hexdigest()[:16]
 
@@ -217,12 +216,14 @@ def cmd_gen_planar(args) -> int:
             rows, cols = (int(x) for x in args.size.lower().split("x"))
         except ValueError as exc:
             raise InputError("grid size must look like 5x5") from exc
-        size = (rows, cols)
+        size, nvars = (rows, cols), rows * cols
     else:
         try:
-            size = int(args.size)
+            size = nvars = int(args.size)
         except ValueError as exc:
             raise InputError("size must be an integer") from exc
+    if nvars > fm.MAX_VARS:
+        raise InputError(f"size {args.size} exceeds the variable cap {fm.MAX_VARS}")
     try:
         formula = gen_planar_instance(args.kind, size, seed=args.seed)
     except ValueError as exc:

@@ -9,9 +9,10 @@ flips, clause subsets, renumberings) come from ``Formula.trusted`` and skip
 re-validation.  ``formula.clauses``, the tuple-of-tuples view, is built on
 first use.  DIMACS text is tokenized on its bytes by numpy where the
 clause section holds only digits, '-' and ASCII blanks, and read line by
-line otherwise.  Assignments are plain ``{var: 0/1}`` dicts.  The
-incidence graph is a plain adjacency dict over ``("x", i)`` and
-``("C", j)`` vertices, the mapping ``bfs_tree`` walks.
+line otherwise.  An assignment is a bool vector of length n, x_i at
+index i - 1, from every solver to the report.  The incidence graph is a
+plain adjacency dict over ``("x", i)`` and ``("C", j)`` vertices, the
+mapping ``bfs_tree`` walks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from itertools import pairwise
 
 import numpy as np
 
-Assignment = dict[int, int]
+Assignment = np.ndarray  # bool, shape (n,): x_i at index i - 1
+
+# every report prints all n literals; 2^24 of them serialize in about 1 GB
+MAX_VARS = 1 << 24
 
 _INT64_MIN = -(1 << 63)
 
@@ -94,7 +98,10 @@ class Formula:
         The error names the first bad clause, and in it the first bad
         literal: out of range, or over a variable seen with the other sign.
         ``given[p]`` is flat literal p as written, if it may not fit int64.
+        n above ``MAX_VARS`` is rejected before any array work.
         """
+        if self.n > MAX_VARS:
+            raise FormulaError(f"n={self.n} exceeds the variable cap {MAX_VARS}")
         n, lits, widths = self.n, self.lits, self.widths
         clause_of = np.repeat(np.arange(widths.size), widths)
         var = np.abs(lits)  # int64's minimum stays negative: out of range
@@ -318,27 +325,21 @@ def serialize_dimacs(formula: Formula) -> str:
 
 def serialize_assignment(phi: Assignment) -> str:
     """Render an assignment in solver-output convention: 'v 1 -2 3 ... 0'."""
-    lits = [var if phi[var] else -var for var in sorted(phi)]
+    var = np.arange(1, len(phi) + 1)
+    lits = np.where(phi, var, -var).tolist()
     return "v " + " ".join(["%d"] * len(lits)) % tuple(lits) + " 0"
 
 
 def eval_assignment(formula: Formula, phi: Assignment) -> int:
-    """Number of clauses satisfied by the total assignment `phi`."""
-    n = formula.n
-    try:
-        values = np.fromiter(map(phi.__getitem__, range(1, n + 1)), bool, n)
-    except KeyError:
-        unset = min(set(range(1, n + 1)) - phi.keys())
-        raise FormulaError(f"assignment is partial: variable {unset} unset") from None
+    """Number of clauses satisfied by ``phi``, one value per variable."""
+    values = np.asarray(phi, dtype=bool)
+    if values.shape != (formula.n,):
+        raise FormulaError(f"assignment of shape {values.shape} for n={formula.n}")
     if formula.m == 0:
         return 0
     lits = formula.lits
     true = values[np.abs(lits) - 1] ^ (lits < 0)
     return int(np.count_nonzero(np.logical_or.reduceat(true, formula.offsets[:-1])))
-
-
-def all_const_assignment(n: int, value: int) -> Assignment:
-    return {var: value for var in range(1, n + 1)}
 
 
 def clause_histogram(formula: Formula) -> dict[int, int]:

@@ -140,7 +140,7 @@ def assignment_from_hash(f: HashFunction, n: int) -> Assignment:
     acc = np.zeros_like(points)
     for c in f.coeffs:
         acc = (acc * points + c) % f.q
-    return dict(enumerate((acc < f.threshold).astype(np.int64).tolist(), start=1))
+    return acc < f.threshold
 
 
 def batch_assignments(

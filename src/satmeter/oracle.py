@@ -34,12 +34,6 @@ class OracleCapError(ValueError):
     """Raised when a formula exceeds the brute-force variable cap."""
 
 
-def _mask_to_assignment(mask: int, n: int) -> Assignment:
-    # x1 is the most significant bit so that ascending masks are ascending
-    # lexicographic assignments (phi(1), ..., phi(n)).
-    return {i: (mask >> (n - i)) & 1 for i in range(1, n + 1)}
-
-
 def _restrict(
     formula: Formula, block: int, high: int
 ) -> tuple[int, list[list[int]]]:
@@ -72,7 +66,7 @@ def exact_maxsat(formula: Formula) -> tuple[int, Assignment]:
     if n > ORACLE_VAR_CAP:
         raise OracleCapError(f"n={n} exceeds oracle cap {ORACLE_VAR_CAP}")
     if formula.m == 0:
-        return 0, {i: 0 for i in range(1, n + 1)}
+        return 0, np.zeros(n, dtype=bool)
     low = min(n, _BLOCK_BITS)
     high = n - low
     inner = min(low, _INNER_BITS)
@@ -105,7 +99,9 @@ def exact_maxsat(formula: Formula) -> tuple[int, Assignment]:
         count = const + len(reduced) - int(unsat.flat[idx])
         if count > best_count:
             best_count, best_mask = count, (block << low) | idx
-    return best_count, _mask_to_assignment(best_mask, n)
+    # x1 is the most significant bit so that ascending masks are ascending
+    # lexicographic assignments (phi(1), ..., phi(n))
+    return best_count, (best_mask >> np.arange(n - 1, -1, -1)) & 1 == 1
 
 
 def expected_satisfied(formula: Formula, p: Fraction) -> Fraction:

@@ -455,32 +455,34 @@ def bdtw_maxsat(
         note_pass("decomposition", frames)
         alloc_cells(peak)
         free_cells(peak)
-    assign = unfold(td.root, wit)
-    return val, {i: assign >> i & 1 for i in range(1, formula.n + 1)}
+    n = formula.n  # bits 1..n of the root's int are x_1..x_n
+    bits = np.frombuffer(unfold(td.root, wit).to_bytes(n // 8 + 1, "little"), np.uint8)
+    return val, np.unpackbits(bits, bitorder="little")[1 : n + 1] == 1
 
 
-def _renumbered(part: Formula) -> tuple[Formula, dict[int, int]]:
-    """Compact the variable space of a part; returns (formula, new->old)."""
+def _renumbered(part: Formula) -> tuple[Formula, np.ndarray]:
+    """Compact the variable space of a part; returns (formula, used), where
+    compact variable i is ``used[i - 1]``."""
     var = np.abs(part.lits)
     used = np.unique(var)
     lits = np.sign(part.lits) * (np.searchsorted(used, var) + 1)
     compact = Formula.trusted(used.size, part.offsets, lits)
-    return compact, dict(enumerate(used.tolist(), start=1))
+    return compact, used
 
 
-def solve_part_exact(part: Formula) -> tuple[int, Assignment, dict[str, Any]]:
-    """Exact solve of one partition part via decompose + rebalance + DP."""
-    compact, new_to_old = _renumbered(part)
+def solve_part_exact(part: Formula) -> tuple[int, np.ndarray, Assignment, dict[str, Any]]:
+    """Exact solve of one partition part via decompose + rebalance + DP:
+    (value, the part's variables ``used``, their values, info)."""
+    compact, used = _renumbered(part)
     td = rebalance(tree_decompose(incidence_graph(compact)))
     val, phi = bdtw_maxsat(td, compact)
-    mapped = {new_to_old[v]: bit for v, bit in phi.items()}
     info = {
         "width": td.width,
         "depth": td.depth,
         "dp_nodes": td.num_nodes,
         "clauses": part.m,
     }
-    return val, mapped, info
+    return val, used, phi, info
 
 
 def planar_ptas(
@@ -499,15 +501,13 @@ def planar_ptas(
     with meter_scope("planar_ptas") as sc:
         result = partition(formula, k)
         report = verify_partition(formula, result, k)
-        merged: Assignment = {}
+        merged = np.zeros(formula.n, dtype=bool)
         part_infos = []
         note_pass("parts")
         for part in result.parts:
-            val, phi, info = solve_part_exact(part)
-            merged |= phi
+            val, used, phi, info = solve_part_exact(part)
+            merged[used - 1] = phi
             part_infos.append(info)
-        for i in range(1, formula.n + 1):
-            merged.setdefault(i, 0)
         count = eval_assignment(formula, merged)
     return SolveResult(
         assignment=merged,

@@ -21,7 +21,6 @@ import numpy as np
 from satmeter.formula import (
     Assignment,
     Formula,
-    all_const_assignment,
     csr_offsets,
     eval_assignment,
     pack_clauses,
@@ -56,8 +55,8 @@ def half_approx(formula: Formula) -> SolveResult:
     """Better of the all-1s / all-0s assignments (ties favor all-1s)."""
     with meter_scope("half_approx") as sc:
         with tracked(4):  # two counters, loop index, choice flag
-            ones = all_const_assignment(formula.n, 1)
-            zeros = all_const_assignment(formula.n, 0)
+            ones = np.ones(formula.n, dtype=bool)
+            zeros = np.zeros(formula.n, dtype=bool)
             note_pass("input", 2)
             c1 = eval_assignment(formula, ones)
             c0 = eval_assignment(formula, zeros)
@@ -159,12 +158,10 @@ def ls_solve(formula: Formula) -> SolveResult:
                 outcome = ls_search(ts)
             flipped = ts.flipped_vars()
             if outcome.function is None:  # unset by the search: default to 1
-                phi = all_const_assignment(formula.n, 1)
+                phi = np.ones(formula.n, dtype=bool)
             else:
                 phi = assignment_from_hash(outcome.function, formula.n)
-            phi_prime: Assignment = {
-                var: 1 - v if var in flipped else v for var, v in phi.items()
-            }
-            count = eval_assignment(formula, phi_prime)
+            phi[[var - 1 for var in flipped]] ^= True  # back-transform, in place
+            count = eval_assignment(formula, phi)
     details = {"m_prime": m_prime, **outcome.details()}
-    return SolveResult(assignment=phi_prime, count=count, details=details, report=sc.report)
+    return SolveResult(assignment=phi, count=count, details=details, report=sc.report)

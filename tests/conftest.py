@@ -16,6 +16,11 @@ from satmeter.formula import Formula
 from satmeter.planar import gen_planar_instance
 
 
+def as_dict(phi) -> dict[int, int]:
+    """An assignment vector as the ``{var: 0/1}`` dict that reference code reads."""
+    return {var: int(value) for var, value in enumerate(phi, start=1)}
+
+
 def random_formula(
     rng: random.Random, n: int, m: int, r: int, min_width: int = 1
 ) -> Formula:

@@ -99,7 +99,7 @@ def test_search_marginal_and_target_example():
     assert p.b_f_fraction() == 1 and p.b_star_fraction() == 1
     assert search_marginal(p, 3) == 1  # (3-1)/(6-4) = 1
     assert expectation_target(p) == Fraction(7, 4) + Fraction(1, 4)
-    assert eval_assignment(fp, {1: 1, 2: 1}) == 3  # all-1s meets T = 2
+    assert eval_assignment(fp, [1, 1]) == 3  # all-1s meets T = 2
 
 
 def test_expectation_target_zero_bias():

@@ -3,15 +3,20 @@
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import satmeter
 from satmeter import cli
 from satmeter import oracle as orc
 from satmeter.cli import _instance_id, main
-from satmeter.formula import parse_dimacs, serialize_dimacs
+from satmeter.formula import MAX_VARS, parse_dimacs, serialize_dimacs
 from satmeter.planar import gen_planar_instance, partition
 
 TRI = "p cnf 2 3\n1 2 0\n-1 0\n2 0\n"
@@ -132,8 +137,8 @@ def test_instance_id_hashes_the_int64_arrays():
     blob = np.array([3, 2, 1, 1, -2, 3], dtype="<i8").tobytes()  # n, widths, lits
     assert _id(ID_BASE) == hashlib.sha256(blob).hexdigest()[:16]
     assert _id("p cnf 2 1\n1 2 0\n") != _id("p cnf 2 2\n1 0 2 0\n")
-    big = 2**70  # n beyond int64 is hashed in as many bytes as it needs
-    assert _id(f"p cnf {big} 0\n") != _id(f"p cnf {big + 1} 0\n")
+    at_cap = np.array([MAX_VARS], dtype="<i8").tobytes()  # no clauses
+    assert _id(f"p cnf {MAX_VARS} 0\n") == hashlib.sha256(at_cap).hexdigest()[:16]
 
 
 def test_instance_id_follows_the_formula_not_the_text():
@@ -239,6 +244,33 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert f"error: cannot write {missing / 'x.cnf'}" in capsys.readouterr().err
     assert main(["partition", "--k", "3", "--out-prefix", str(missing / "p"), str(ok)]) == 2
     assert f"error: cannot write {missing / 'p'}.part1.cnf" in capsys.readouterr().err
+    # n above MAX_VARS, in a child process under a 1 GB address-space limit,
+    # so a per-variable allocation fails the test instead of the machine
+    huge_n = tmp_path / "huge-n.cnf"
+    huge_n.write_text("p cnf 99999999999999999999 1\n1 0\n")
+    over = tmp_path / "over.cnf"
+    over.write_text(f"p cnf {MAX_VARS + 1} 1\n1 0\n")
+    cases = [["solve", "--alg", "half", str(huge_n)], ["bias", str(huge_n)],
+             ["partition", "--k", "3", str(huge_n)], ["solve", "--alg", "half", str(over)],
+             ["gen-planar", "--kind", "chain", "--size", "1000000000"],
+             ["gen-planar", "--kind", "grid", "--size", f"{MAX_VARS + 1}x1"]]
+    assert _exit_codes_within_1gb(cases) == [2] * len(cases)
+
+
+def _exit_codes_within_1gb(cases: list[list[str]]) -> list[int]:
+    """``main``'s exit code on each argument list, run in one child process
+    whose address space is capped at 1 GB."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = ("import json, sys; from satmeter.cli import main; "
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+    src = os.path.dirname(os.path.dirname(satmeter.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run([sys.executable, "-c", code, json.dumps(cases)], env=env,
+                           preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
 
 
 def test_oracle_cap_exits_2(capsys, tmp_path):

@@ -16,7 +16,6 @@ from satmeter.formula import (
     Formula,
     FormulaError,
     _byte_tokens,
-    all_const_assignment,
     bfs_tree,
     clause_histogram,
     components,
@@ -30,7 +29,7 @@ from satmeter.formula import (
 
 import numpy as np
 
-from conftest import random_formula
+from conftest import as_dict, random_formula
 
 
 def parse_assignment(text: str) -> dict[int, int]:
@@ -93,24 +92,31 @@ def test_formula_pinned_r_enforced():
 
 def test_eval_examples():
     f = Formula(n=2, clauses=((1, 2), (-1,), (2,)))
-    assert eval_assignment(f, {1: 0, 2: 1}) == 3
+    assert eval_assignment(f, [0, 1]) == 3
+    assert eval_assignment(f, np.array([False, True])) == 3
     pair = Formula(n=1, clauses=((1,), (-1,)))
-    assert eval_assignment(pair, {1: 0}) == 1
-    assert eval_assignment(pair, {1: 1}) == 1
+    assert eval_assignment(pair, [0]) == 1
+    assert eval_assignment(pair, [1]) == 1
     empty = Formula(n=2, clauses=())
-    assert eval_assignment(empty, all_const_assignment(2, 1)) == 0
+    assert eval_assignment(empty, np.ones(2, dtype=bool)) == 0
 
 
 def test_eval_partial_assignment_rejected():
+    """One value per variable: a shorter, longer or 2-D vector is rejected."""
     f = Formula(n=2, clauses=((1, 2),))
-    with pytest.raises(FormulaError):
-        eval_assignment(f, {1: 1})
+    for phi in ([1], [1, 0, 1], [[1, 0]], np.ones((2, 2), dtype=bool)):
+        with pytest.raises(FormulaError, match="shape"):
+            eval_assignment(f, phi)
 
 
-def test_eval_partial_names_smallest_unset_variable():
-    f = Formula(n=5, clauses=((1, 2),))
-    with pytest.raises(FormulaError, match="variable 2 unset"):
-        eval_assignment(f, {1: 1, 3: 0, 5: 1})
+def test_variable_cap():
+    """n up to MAX_VARS parses; above it, header or constructor, is rejected."""
+    assert parse_dimacs(f"p cnf {fm.MAX_VARS} 0\n").n == fm.MAX_VARS == 2**24
+    for n in (fm.MAX_VARS + 1, 99999999999999999999):
+        with pytest.raises(FormulaError, match="variable cap"):
+            parse_dimacs(f"p cnf {n} 1\n1 0\n")
+    with pytest.raises(FormulaError, match="variable cap"):
+        Formula(n=fm.MAX_VARS + 1, clauses=((1,),))
 
 
 def test_histogram_examples():
@@ -170,9 +176,10 @@ def test_components_match_seen_set_loop(size, data):
 
 
 def test_assignment_roundtrip():
-    phi = {1: 1, 2: 0, 3: 1}
+    phi = np.array([True, False, True])
     assert serialize_assignment(phi) == "v 1 -2 3 0"
-    assert parse_assignment("v 1 -2 3 0") == phi
+    assert parse_assignment("v 1 -2 3 0") == as_dict(phi)
+    assert serialize_assignment(np.zeros(0, dtype=bool)) == "v  0"
 
 
 @given(st.integers(1, 8), st.integers(0, 20), st.integers(0, 2**30))
@@ -194,8 +201,7 @@ def test_pack_clauses_matches_eval(n, m, seed):
     )
     counts = packed.count_satisfied(rows)
     for row, count in zip(rows, counts):
-        phi = {i + 1: int(row[i]) for i in range(n)}
-        assert eval_assignment(f, phi) == count
+        assert eval_assignment(f, row) == count
 
 
 # --- the array core against the tuple code it replaced ---------------------
@@ -489,9 +495,10 @@ def formulas_with_duplicates(draw):
 def test_readers_match_tuple_reference(f, seed):
     rng = random.Random(seed)
     assert serialize_dimacs(f) == _reference_serialize(f)
-    phi = {i: rng.randint(0, 1) for i in rng.sample(range(1, f.n + 1), f.n)}
-    assert eval_assignment(f, phi) == _reference_eval(f, phi)
-    text = "v " + " ".join(str(v if phi[v] else -v) for v in sorted(phi)) + " 0"
+    phi = np.array([rng.randint(0, 1) for _ in range(f.n)], dtype=bool)
+    values = as_dict(phi)
+    assert eval_assignment(f, phi) == _reference_eval(f, values)
+    text = "v " + " ".join(str(v if values[v] else -v) for v in sorted(values)) + " 0"
     assert serialize_assignment(phi) == text
     packed = pack_clauses(f)
     ref = _reference_pack(f)
@@ -504,7 +511,8 @@ def test_readers_match_tuple_reference(f, seed):
     assert (p.r, p.scale, p.per_var, p.b_f, p.b_star, p.histogram, p.neg_vars) == _reference_bias(f)
     q = rng.choice([2, 3, 7, 101, 2**61 - 1, 2**89 - 1])
     h = HashFunction(tuple(rng.randrange(q) for _ in range(rng.randint(1, 3))), q, rng.randint(0, q))
-    assert assignment_from_hash(h, f.n) == {i: h.bit(i) for i in range(1, f.n + 1)}
+    phi = assignment_from_hash(h, f.n)
+    assert phi.dtype == bool and as_dict(phi) == {i: h.bit(i) for i in range(1, f.n + 1)}
 
 
 @settings(max_examples=300, deadline=None)

@@ -27,7 +27,7 @@ from satmeter.treedp import (
     validate_td,
 )
 
-from conftest import random_formula
+from conftest import as_dict, random_formula
 
 
 def _path_graph(k):
@@ -172,7 +172,7 @@ def test_bdtw_examples():
     assert val == 1
     empty = Formula(n=0, clauses=())
     val, phi = bdtw_maxsat(tree_decompose(incidence_graph(empty)), empty)
-    assert val == 0 and phi == {}
+    assert val == 0 and phi.tolist() == []
 
 
 def test_bdtw_rejects_invalid_td():
@@ -207,10 +207,11 @@ def test_ptas_chain_example():
 
 
 def test_ptas_shallow_instance_is_exact():
-    f = Formula(n=3, clauses=((1, 2), (2, 3)))
+    f = Formula(n=4, clauses=((1, 2), (2, 3)))
     opt, _ = exact_maxsat(f)
     res = planar_ptas(f, Fraction(1, 4))  # k = 8 >> depth
     assert res.count == opt
+    assert not res.assignment[3]  # x4 is in no part: it defaults to 0
 
 
 def test_ptas_grid_corpus():
@@ -312,8 +313,9 @@ def _metered(dp, td, formula):
 
 
 def _assert_dp_contract(td, formula):
-    got = _metered(bdtw_maxsat, td, formula)
-    assert got == _metered(_reference_bdtw, td, formula)
+    (val, phi), peak, passes = _metered(bdtw_maxsat, td, formula)
+    assert phi.dtype == bool
+    assert ((val, as_dict(phi)), peak, passes) == _metered(_reference_bdtw, td, formula)
     # the meter: the outer scope opens with no live cells, so its peak and
     # passes are those of the bdtw scope
     order, parent, _, frame, new = _frames_of(td, formula)
@@ -323,7 +325,6 @@ def _assert_dp_contract(td, formula):
         cells = len(new[node]) + len(frame[node]) + 3
         path_cells[node] = cells + (path_cells[up] if up is not None else 0)
         calls[node] = 1 if up is None else calls[up] << len(new[up])
-    _, peak, passes = got
     assert peak == max(path_cells.values())
     assert passes == {"decomposition": sum(calls.values())}
 

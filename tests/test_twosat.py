@@ -23,12 +23,12 @@ LS_RATIO = Fraction(618, 1000)
 def test_half_examples():
     f = Formula(n=1, clauses=((1,), (1,), (-1,)))
     phi, count = half_approx(f)
-    assert phi == {1: 1} and count == 2
+    assert phi.tolist() == [True] and count == 2
     pair = Formula(n=1, clauses=((1,), (-1,)))
     phi, count = half_approx(pair)
-    assert phi == {1: 1} and count == 1
+    assert phi.tolist() == [True] and count == 1
     phi, count = half_approx(Formula(n=0, clauses=()))
-    assert phi == {} and count == 0
+    assert phi.tolist() == [] and count == 0
 
 
 @settings(max_examples=80)
@@ -90,11 +90,11 @@ def test_transform_count_conservation_on_pair_free_formulas():
         fprime = ts.formula()
         flipped = ts.flipped_vars()
         for _ in range(5):
-            phi_prime = {i: rng.randint(0, 1) for i in range(1, n + 1)}
-            phi = {
-                i: 1 - v if i in flipped else v
-                for i, v in phi_prime.items()
-            }
+            phi_prime = [rng.randint(0, 1) for _ in range(n)]
+            phi = [
+                1 - v if i in flipped else v
+                for i, v in enumerate(phi_prime, start=1)
+            ]
             assert eval_assignment(f, phi) == eval_assignment(
                 fprime, phi_prime
             )
