@@ -24,7 +24,6 @@ from satmeter.formula import (
 from satmeter.hashfam import (
     HashFamilySpec,
     SearchOutcome,
-    assignment_from_hash,
     family_search,
     field_size_for,
 )
@@ -177,7 +176,7 @@ def chou_solve(formula: Formula) -> SolveResult:
                 with tracked(max(formula.r, 1)):  # candidate coefficients
                     outcome = chou_search(fprime, profile)
                 branch = "family-search"
-                candidate = assignment_from_hash(outcome.function, formula.n)
+                candidate = outcome.assignment
                 note_pass("posbias", 2)
                 if eval_assignment(fprime, candidate) >= eval_assignment(fprime, phi):
                     phi = candidate

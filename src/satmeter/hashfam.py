@@ -8,7 +8,9 @@ marginal a/b to within 1/(2q).
 
 ``family_search`` is the derandomized search both the 0.618 and the
 sqrt(2)/2 solvers run: walk the family in enumeration order and stop at the
-first candidate whose satisfied-clause count passes the solver's test.
+first candidate whose satisfied-clause count passes the solver's test.  It
+returns that candidate's bit row, so ``batch_assignments`` is the one
+evaluator of the polynomial.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from satmeter.metering import note_pass
 # Scan budget for the family search.  The threshold candidate is found within
 # the first few coefficient blocks on every instance class we generate; the
 # cap only guards against pathological full-family fallbacks on large fields.
-DEFAULT_SCAN_CAP = 5_000_000
+SCAN_CAP = 5_000_000
 
 
 def is_prime(x: int) -> bool:
@@ -93,27 +95,6 @@ def field_size_for(n: int, b: int, m: int, r: int) -> int:
     return smallest_prime_geq(max(n, b, 20 * m * r, 2))
 
 
-@dataclass(frozen=True)
-class HashFunction:
-    """A thresholded polynomial over GF(q): bit(i) = 1 iff eval(i) < t.
-
-    ``coeffs`` is leading-coefficient first: (c_{k-1}, ..., c_1, c_0).
-    """
-
-    coeffs: tuple[int, ...]
-    q: int
-    threshold: int
-
-    def eval(self, i: int) -> int:
-        acc = 0
-        for c in self.coeffs:
-            acc = (acc * i + c) % self.q
-        return acc
-
-    def bit(self, i: int) -> int:
-        return 1 if self.eval(i) < self.threshold else 0
-
-
 def _tuples(q: int, length: int) -> Iterator[tuple[int, ...]]:
     """All ``length``-tuples over range(q), lexicographic, made as consumed
     (``itertools.product`` would first copy range(q), q entries)."""
@@ -125,41 +106,22 @@ def _tuples(q: int, length: int) -> Iterator[tuple[int, ...]]:
             yield head + (c,)
 
 
-def enum_family(spec: HashFamilySpec) -> Iterator[HashFunction]:
-    """All q^k functions of the family, lexicographic in coeffs."""
-    for coeffs in _tuples(spec.q, spec.k):
-        yield HashFunction(coeffs=coeffs, q=spec.q, threshold=spec.threshold)
-
-
-def assignment_from_hash(f: HashFunction, n: int) -> Assignment:
-    """Total assignment over [n] with values(i) = bit_f(i), evaluated over
-    all points at once (in Python ints if q * (n + 1) overflows int64)."""
-    points = np.arange(1, n + 1, dtype=np.int64)
-    if f.q * (n + 1) >= 1 << 63:
-        points = points.astype(object)
-    acc = np.zeros_like(points)
-    for c in f.coeffs:
-        acc = (acc * points + c) % f.q
-    return acc < f.threshold
-
-
 def batch_assignments(
     spec: HashFamilySpec,
     high_coeffs: tuple[int, ...],
-    c0_start: int = 0,
-    c0_stop: int | None = None,
+    c0_start: int,
+    c0_stop: int,
 ) -> np.ndarray:
     """Bit matrix for the functions sharing the given non-constant coeffs.
 
     Row i is the assignment of the function with coefficients
-    (*high_coeffs, c0_start + i); columns are variables 1..n (0-based).
-    Matches the enumeration order of ``enum_family`` restricted to that
-    coefficient prefix.  The constant-term range defaults to the whole
-    block [0, q); callers chunk it to bound working-set size.
+    (*high_coeffs, c0_start + i), leading coefficient first: variable j
+    (column j - 1) is set iff the polynomial at j is below the threshold.
+    The rows follow the family's lexicographic order within that
+    coefficient prefix; callers chunk the constant-term block [0, q) to
+    bound working-set size.
     """
     q, n, t = spec.q, spec.n, spec.threshold
-    if c0_stop is None:
-        c0_stop = q
     points = np.arange(1, n + 1, dtype=np.int64)
     acc = np.zeros(n, dtype=np.int64)
     for c in high_coeffs:
@@ -176,10 +138,8 @@ def batch_assignments(
 CHUNK_CELLS = 1 << 20
 
 
-def _candidate_chunks(
-    spec: HashFamilySpec, row_cells: int
-) -> Iterator[tuple[tuple[int, ...], int, np.ndarray]]:
-    """(high_coeffs, c0_start, bits) chunks covering the family in order.
+def _candidate_chunks(spec: HashFamilySpec, row_cells: int) -> Iterator[np.ndarray]:
+    """Bit matrices covering the family in order, one row per candidate.
 
     Chunks start at one row and double up to
     ``CHUNK_CELLS // max(n, row_cells)`` rows (at least one), the size
@@ -194,15 +154,15 @@ def _candidate_chunks(
         c0 = 0
         while c0 < spec.q:
             stop = min(c0 + chunk, spec.q)
-            yield high, c0, batch_assignments(spec, high, c0, stop)
+            yield batch_assignments(spec, high, c0, stop)
             c0, chunk = stop, min(2 * chunk, max_chunk)
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """A family search's pick; ``function`` is None only for an empty one."""
+    """A family search's pick and the assignment row it scored."""
 
-    function: HashFunction | None
+    assignment: Assignment
     count: int
     family_index: int
     fallback: bool
@@ -229,33 +189,32 @@ def family_search(
     accept: Callable[[np.ndarray], np.ndarray],
     threshold_desc: str,
     pass_label: str,
-    scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> SearchOutcome:
     """First candidate in enumeration order that ``accept`` passes.
 
     ``accept(counts) -> bool mask`` tests each candidate's satisfied-clause
     count on ``formula``.  If none passes before the family ends or the scan
-    reaches ``scan_cap`` (checked after each chunk), the first maximum over
+    reaches ``SCAN_CAP`` (checked after each chunk), the first maximum over
     the scanned candidates is returned with ``fallback`` set.  Every scanned
     candidate is charged one ``pass_label`` pass: the space model rebuilds
     ``formula`` for each candidate it scores.
     """
     packed = pack_clauses(formula)
-    best_count, best_index, best_coeffs = -1, -1, ()
+    best_count, best_index, best_row = -1, -1, None
     scanned = 0  # also the family index of the chunk's first row
-    for high, c0, bits in _candidate_chunks(spec, packed.var_idx.size):
+    for bits in _candidate_chunks(spec, packed.var_idx.size):
         counts = packed.count_satisfied(bits)
         hits = np.flatnonzero(accept(counts))
         row = int(hits[0]) if hits.size else int(np.argmax(counts))
         if hits.size or counts[row] > best_count:
             best_count, best_index = int(counts[row]), scanned + row
-            best_coeffs = high + (c0 + row,)
+            best_row = bits[row].copy()  # a view would keep the whole chunk
         scanned += row + 1 if hits.size else len(counts)
-        if hits.size or scanned >= scan_cap:
+        if hits.size or scanned >= SCAN_CAP:
             break
     note_pass(pass_label, scanned)
     return SearchOutcome(
-        function=HashFunction(best_coeffs, spec.q, spec.threshold),
+        assignment=best_row,
         count=best_count,
         family_index=best_index,
         fallback=not hits.size,

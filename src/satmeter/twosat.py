@@ -1,14 +1,16 @@
 """The 1/2 approximation and the 0.618 hash-family search.
 
 The 0.618 pipeline: rewrite the input into a 2-satisfiable formula whose
-unit clauses are all positive (flipping polarity of variables that occur as
-negative unit clauses, and recording which variables the back-transform
-must un-flip), search an enumerated pairwise-independent family of
-618/1000-biased assignments for one satisfying more than 0.618 of the
-transformed clauses, and translate the winner back.  The transform works on
-the source's clause arrays (stored once, see ``formula``): a per-variable
-sign mask flips literals, and each use rebuilds the transformed formula as a
-derived formula, without re-validation, charged as one ``twosat`` pass.
+unit clauses are all positive (flipping polarity of variables with more
+negative than positive unit clauses, and recording which variables the
+back-transform must un-flip), search an enumerated pairwise-independent
+family of 618/1000-biased assignments for one satisfying more than 0.618 of
+the transformed clauses, and translate the row it scored back.  Unit
+clauses are counted with their multiplicity, so repeated units keep their
+weight.  The transform works on the source's clause arrays (stored once,
+see ``formula``): a per-variable sign mask flips literals, and each use
+rebuilds the transformed formula as a derived formula, without
+re-validation, charged as one ``twosat`` pass.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from satmeter.formula import (
 )
 from satmeter.hashfam import (
     HashFamilySpec,
-    HashFunction,
     SearchOutcome,
-    assignment_from_hash,
     family_search,
     field_size_for,
 )
@@ -70,16 +70,16 @@ class TwoSatStream:
     """The 2-satisfiable transform of ``source``, rebuilt on every use.
 
     ``formula()`` recomputes the transformed formula from ``source`` and its
-    sign mask ``flip``: wide clauses, then positive units, then the units
-    (x_i) of the flipped variables, whose values the back-transform must
-    invert (``flipped_vars``).  Each rebuild charges one ``twosat`` and two
+    sign mask ``flip``: wide clauses, then the units of the unflipped
+    variables, then the units (x_i) of the flipped variables, whose values
+    the back-transform must invert (``flipped_vars``); variable i's unit
+    appears ``units[i]`` times.  Each rebuild charges one ``twosat`` and two
     ``input`` passes.
     """
 
     source: Formula
-    pos_units: np.ndarray  # per variable (index 0 unused): has a positive unit
-    flip: np.ndarray  # per variable: has a negative unit and no positive one
-    dropped_pairs: frozenset[int]
+    units: np.ndarray  # per variable (index 0 unused): copies of its unit (x_i)
+    flip: np.ndarray  # per variable: more negative than positive units
 
     def formula(self) -> Formula:
         """One pass: the transformed formula, the flipped variables' units last."""
@@ -87,7 +87,8 @@ class TwoSatStream:
         note_pass("input", 2)  # unit-occurrence prepass + clause pass
         f = self.source
         wide = f.lits[np.repeat(f.widths >= 2, f.widths)]
-        units = np.concatenate((np.flatnonzero(self.pos_units), np.flatnonzero(self.flip)))
+        order = np.concatenate((np.flatnonzero(~self.flip), np.flatnonzero(self.flip)))
+        units = np.repeat(order, self.units[order])
         widths = np.concatenate((f.widths[f.widths >= 2], np.ones_like(units)))
         lits = np.concatenate((np.where(self.flip[np.abs(wide)], -wide, wide), units))
         return Formula.trusted(f.n, csr_offsets(widths), lits)
@@ -96,30 +97,31 @@ class TwoSatStream:
         return list(self.formula().clauses)
 
     def flipped_vars(self) -> frozenset[int]:
-        units = self.formula().lits  # one pass; the flipped variables come last
-        return frozenset(units[units.size - np.count_nonzero(self.flip):].tolist())
+        lits = self.formula().lits  # one pass; the flipped variables come last
+        tail = int(self.units[self.flip].sum())
+        return frozenset(lits[lits.size - tail:].tolist())
 
 
 def to_two_satisfiable(formula: Formula) -> TwoSatStream:
     """Transform into a 2-satisfiable formula with all units positive.
 
-    Wide clauses have every literal over a flipped variable inverted;
-    positive units are re-emitted once per variable; the flipped variables
-    (negative unit, no positive unit) come last, each as its positive unit
-    clause, and form the back-transform's inversion set.  Complementary unit
-    pairs keep only their positive side.  Flipping is a sign mask over the
-    source's literal array.
+    With p positive and q negative unit clauses on x_i, the variable is
+    flipped iff q > p, and its majority unit (x_i after the flip) is emitted
+    |p - q| times, plus once more when it has units of both signs.  Wide
+    clauses have every literal over a flipped variable inverted, by a sign
+    mask over the source's literal array.  The flipped variables' units come
+    last and form the back-transform's inversion set.
+
+    With d = min(p, q) - [min(p, q) >= 1] per variable, the source units
+    satisfy at least d more clauses than the emitted ones under the
+    back-transform, m' = m - sum(min(p, q) + d) and OPT <= m - sum(min(p, q)),
+    so count > 0.618 m' gives count >= 0.618 OPT (Lieberherr-Specker 1981).
     """
     units = formula.lits[formula.offsets[:-1][formula.widths == 1]]
-    pos = np.zeros(formula.n + 1, dtype=bool)
-    neg = np.zeros(formula.n + 1, dtype=bool)
-    pos[units[units > 0]] = True
-    neg[-units[units < 0]] = True
-    # flip exactly the variables whose polarity the back-transform inverts;
-    # a variable with both unit polarities keeps its orientation (its pair
-    # contributes one satisfied clause no matter what)
-    dropped = frozenset(np.flatnonzero(pos & neg).tolist())
-    return TwoSatStream(source=formula, pos_units=pos, flip=neg & ~pos, dropped_pairs=dropped)
+    p = np.bincount(units[units > 0], minlength=formula.n + 1)
+    q = np.bincount(-units[units < 0], minlength=formula.n + 1)
+    emit = np.abs(p - q) + (np.minimum(p, q) >= 1)
+    return TwoSatStream(source=formula, units=emit, flip=q > p)
 
 
 def ls_search(ts: TwoSatStream) -> SearchOutcome:
@@ -128,14 +130,14 @@ def ls_search(ts: TwoSatStream) -> SearchOutcome:
     m_prime, n = formula.m, formula.n
 
     if m_prime == 0 or n == 0:
-        return SearchOutcome(None, 0, -1, False, 0, 0, 0, "empty")
+        return SearchOutcome(np.ones(n, dtype=bool), 0, -1, False, 0, 0, 0, "empty")
     if n < 2:
         # Family needs n >= k = 2; a single variable has only two assignments.
         packed = pack_clauses(formula)
         counts = packed.count_satisfied(np.array([[0], [1]], dtype=np.int64))
         pick = 1 if counts[1] >= counts[0] else 0
-        f = HashFunction((0, 0), 2, 2 if pick else 0)  # constant function
-        return SearchOutcome(f, int(counts[pick]), pick, False, 2, 2, 2, "tiny")
+        phi = np.array([pick == 1])
+        return SearchOutcome(phi, int(counts[pick]), pick, False, 2, 2, 2, "tiny")
 
     q = field_size_for(n, LS_DEN, m_prime, formula.r)
     spec = HashFamilySpec(n=n, k=2, a=LS_NUM, b=LS_DEN, q=q)
@@ -157,10 +159,7 @@ def ls_solve(formula: Formula) -> SolveResult:
             with tracked(2):  # candidate coefficient pair
                 outcome = ls_search(ts)
             flipped = ts.flipped_vars()
-            if outcome.function is None:  # unset by the search: default to 1
-                phi = np.ones(formula.n, dtype=bool)
-            else:
-                phi = assignment_from_hash(outcome.function, formula.n)
+            phi = outcome.assignment
             phi[[var - 1 for var in flipped]] ^= True  # back-transform, in place
             count = eval_assignment(formula, phi)
     details = {"m_prime": m_prime, **outcome.details()}

@@ -1,16 +1,21 @@
-"""Shared corpus generators for the test suite.
+"""Shared corpus generators and references for the test suite.
 
-Generators emit formulas with pairwise-distinct clauses.  ``Formula`` does
-not enforce that: it keeps duplicate clauses and counts them with
-multiplicity.  The 2-satisfiable transform collapses duplicated unit clauses
-into one, so ``ls_solve`` can miss its 0.618 bound on such formulas (a known
-defect), and this corpus does not exercise them.
+``random_formula`` and its kin emit formulas with pairwise-distinct
+clauses.  ``Formula`` does not enforce that: it keeps duplicate clauses and
+counts them with multiplicity, and ``formulas_with_duplicates`` draws such
+formulas.  ``HashFunction`` and ``enum_family`` are the hash family point by
+point in Python ints, the reference for the solvers' batched evaluator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import strategies as st
 
 from satmeter.formula import Formula
 from satmeter.planar import gen_planar_instance
@@ -19,6 +24,50 @@ from satmeter.planar import gen_planar_instance
 def as_dict(phi) -> dict[int, int]:
     """An assignment vector as the ``{var: 0/1}`` dict that reference code reads."""
     return {var: int(value) for var, value in enumerate(phi, start=1)}
+
+
+@dataclass(frozen=True)
+class HashFunction:
+    """A thresholded polynomial over GF(q): bit(i) = 1 iff eval(i) < t.
+
+    ``coeffs`` is leading-coefficient first: (c_{k-1}, ..., c_1, c_0).
+    """
+
+    coeffs: tuple[int, ...]
+    q: int
+    threshold: int
+
+    def eval(self, i: int) -> int:
+        acc = 0
+        for c in self.coeffs:
+            acc = (acc * i + c) % self.q
+        return acc
+
+    def bit(self, i: int) -> int:
+        return 1 if self.eval(i) < self.threshold else 0
+
+
+def enum_family(spec) -> list[HashFunction]:
+    """All q^k functions of a ``HashFamilySpec``, lexicographic in coeffs."""
+    return [HashFunction(coeffs, spec.q, spec.threshold)
+            for coeffs in itertools.product(range(spec.q), repeat=spec.k)]
+
+
+def assignment_from_hash(f: HashFunction, n: int) -> np.ndarray:
+    """The assignment over [n] with x_i = bit_f(i), as a bool vector."""
+    return np.array([f.bit(i) for i in range(1, n + 1)], dtype=bool)
+
+
+@st.composite
+def formulas_with_duplicates(draw):
+    """Up to 10 clauses on n <= 7 variables, each repeated 1-3 times, shuffled."""
+    n = draw(st.integers(0, 7))
+    lits = st.integers(1, max(n, 1)).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(lits, min_size=1, max_size=4, unique_by=abs)
+    clauses = draw(st.lists(clause, max_size=10)) if n else []
+    clauses = [c for c in clauses for _ in range(draw(st.integers(1, 3)))]
+    r = draw(st.sampled_from([0, 0, 4, 40, 70]))
+    return Formula(n=n, clauses=draw(st.permutations(clauses)), r=r)
 
 
 def random_formula(

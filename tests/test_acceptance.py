@@ -22,7 +22,7 @@ from satmeter.biased import (
 )
 from satmeter.cli import main as cli_main
 from satmeter.formula import Formula
-from satmeter.hashfam import HashFamilySpec, assignment_from_hash, enum_family
+from satmeter.hashfam import HashFamilySpec
 from satmeter.metering import meter_scope
 from satmeter.oracle import exact_maxsat, expected_satisfied
 from satmeter.planar import gen_planar_instance, partition, verify_partition
@@ -35,7 +35,7 @@ from satmeter.treedp import (
 from satmeter.twosat import half_approx, ls_solve
 from satmeter.formula import eval_assignment, incidence_graph
 
-from conftest import random_formula, random_positive_units_formula
+from conftest import assignment_from_hash, enum_family, random_formula, random_positive_units_formula
 
 # sqrt(2)/2 as an exact rational lower bound (error < 1e-14)
 SQRT2_OVER_2 = Fraction(math.isqrt(2 * 10**28), 2 * 10**14)

@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from satmeter.biased import (
     bias_profile,
     chou_search,
@@ -119,6 +121,7 @@ def test_chou_search_candidate_meets_expectation():
     outcome = chou_search(fp, p)
     assert not outcome.fallback
     assert outcome.count >= 2
+    assert eval_assignment(fp, outcome.assignment) == outcome.count
 
 
 def test_chou_solve_examples():
@@ -145,6 +148,24 @@ def test_chou_solve_random_ratio():
         opt, _ = exact_maxsat(f)
         _, count = chou_solve(f)
         assert count >= math.ceil(SQRT2_OVER_2 * opt)
+
+
+@pytest.mark.xfail(strict=True, reason="chou's acceptance target is below (sqrt 2)/2 OPT here")
+@pytest.mark.parametrize(
+    "n, clauses",
+    [
+        # OPT 13, need 10; target 8.92, chou 9
+        (4, [(-1, 4)] * 3 + [(2, 4)] * 3 + [(-4,)] + [(-4, -2)] * 3 + [(2,)] * 3),
+        # OPT 10, need 8; target 6.83, chou 7
+        (5, [(-5, -3)] * 3 + [(3, 5)] * 3 + [(4,)] * 3 + [(-4, 1)]),
+    ],
+)
+def test_chou_ratio_miss_on_duplicated_clauses(n, clauses):
+    """A known defect: on these formulas with repeated clauses the bias
+    bound, not the search, falls short of (sqrt 2)/2 OPT."""
+    f = Formula(n=n, clauses=tuple(clauses))
+    opt, _ = exact_maxsat(f)
+    assert chou_solve(f).count >= math.ceil(SQRT2_OVER_2 * opt)
 
 
 def test_chou_candidate_matches_exact_expectation_semantics():

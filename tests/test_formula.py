@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satmeter.biased import bias_profile, flipped_formula
-from satmeter.hashfam import HashFunction, assignment_from_hash
 from satmeter.metering import meter_scope
 from satmeter import formula as fm
 from satmeter.twosat import to_two_satisfiable
@@ -29,7 +28,7 @@ from satmeter.formula import (
 
 import numpy as np
 
-from conftest import as_dict, random_formula
+from conftest import as_dict, formulas_with_duplicates, random_formula
 
 
 def parse_assignment(text: str) -> dict[int, int]:
@@ -459,35 +458,28 @@ def _reference_bias(f):
 
 
 def _reference_two_sat(f):
-    """The 2-satisfiable transform as it was: clauses (the flipped
-    variables' units last), dropped pairs, flips."""
-    pos = {c[0] for c in f.clauses if len(c) == 1 and c[0] > 0}
-    neg = {-c[0] for c in f.clauses if len(c) == 1 and c[0] < 0}
-    flip = neg - pos
+    """The 2-satisfiable transform clause by clause: clauses (the flipped
+    variables' units last) and flips.  A variable with p positive and q
+    negative units is flipped iff q > p and keeps |p - q| copies of its
+    majority unit, plus one when it has units of both signs."""
+    units = [c[0] for c in f.clauses if len(c) == 1]
+    pos = {v: units.count(v) for v in range(1, f.n + 1)}
+    neg = {v: units.count(-v) for v in range(1, f.n + 1)}
+    flip = {v for v in pos if neg[v] > pos[v]}
+    copies = {v: abs(pos[v] - neg[v]) + (min(pos[v], neg[v]) >= 1) for v in pos}
     clauses = [
         tuple(-lit if abs(lit) in flip else lit for lit in c)
         for c in f.clauses if len(c) >= 2
     ]
-    clauses += [(v,) for v in range(1, f.n + 1) if v in pos]
-    clauses += [(v,) for v in range(1, f.n + 1) if v in flip]
-    return clauses, frozenset(pos & neg), frozenset(flip)
+    clauses += [(v,) for v in pos if v not in flip for _ in range(copies[v])]
+    clauses += [(v,) for v in pos if v in flip for _ in range(copies[v])]
+    return clauses, frozenset(flip)
 
 
 def _passes(fn):
     with meter_scope("probe") as sc:
         out = fn()
     return out, sc.report.pass_counts
-
-
-@st.composite
-def formulas_with_duplicates(draw):
-    n = draw(st.integers(0, 7))
-    lits = st.integers(1, max(n, 1)).flatmap(lambda v: st.sampled_from([v, -v]))
-    clause = st.lists(lits, min_size=1, max_size=4, unique_by=abs)
-    clauses = draw(st.lists(clause, max_size=10)) if n else []
-    clauses += [draw(st.sampled_from(clauses)) for _ in range(draw(st.integers(0, 3)))] if clauses else []
-    r = draw(st.sampled_from([0, 0, 4, 40, 70]))
-    return Formula(n=n, clauses=draw(st.permutations(clauses)), r=r)
 
 
 @settings(max_examples=300, deadline=None)
@@ -509,21 +501,16 @@ def test_readers_match_tuple_reference(f, seed):
     assert packed.count_satisfied(rows).tolist() == want
     p = bias_profile(f)
     assert (p.r, p.scale, p.per_var, p.b_f, p.b_star, p.histogram, p.neg_vars) == _reference_bias(f)
-    q = rng.choice([2, 3, 7, 101, 2**61 - 1, 2**89 - 1])
-    h = HashFunction(tuple(rng.randrange(q) for _ in range(rng.randint(1, 3))), q, rng.randint(0, q))
-    phi = assignment_from_hash(h, f.n)
-    assert phi.dtype == bool and as_dict(phi) == {i: h.bit(i) for i in range(1, f.n + 1)}
 
 
 @settings(max_examples=300, deadline=None)
 @given(formulas_with_duplicates(), st.integers(0, 2**30))
 def test_transforms_match_tuple_reference(f, seed):
-    clauses, dropped, flip = _reference_two_sat(f)
+    clauses, flip = _reference_two_sat(f)
     ts = to_two_satisfiable(f)
     fprime, passes = _passes(ts.formula)
     assert (fprime.clauses, passes) == (tuple(clauses), {"twosat": 1, "input": 2})
     assert fprime.r == max(map(len, clauses), default=0)
-    assert ts.dropped_pairs == dropped
     assert _passes(ts.flipped_vars) == (flip, {"twosat": 1, "input": 2})
     assert ts.clauses() == clauses
     neg_vars = frozenset(random.Random(seed).sample(range(1, f.n + 1), f.n // 2))

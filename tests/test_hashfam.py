@@ -2,26 +2,27 @@
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satmeter import hashfam
 from satmeter.formula import Formula, eval_assignment
 from satmeter.hashfam import (
     CHUNK_CELLS,
     HashFamilySpec,
-    HashFunction,
     _candidate_chunks,
-    assignment_from_hash,
     batch_assignments,
-    enum_family,
     family_search,
     field_size_for,
     is_prime,
     smallest_prime_geq,
 )
 from satmeter.metering import meter_scope
+
+from conftest import HashFunction, assignment_from_hash, enum_family
 
 
 def test_smallest_prime_examples():
@@ -88,38 +89,37 @@ def test_family_size_and_enumeration_order():
     assert fams[-1].coeffs == (4, 4)
 
 
+def _family_rows(spec):
+    """Every member's assignment, in order, from the solvers' chunk walk."""
+    return np.concatenate(list(_candidate_chunks(spec, spec.n)))
+
+
 def test_pairwise_marginals_exact():
     # spec(n=3, k=2, a=1, b=2, q=5): t=3, marginal exactly 3/5
     spec = HashFamilySpec(n=3, k=2, a=1, b=2, q=5)
-    fams = list(enum_family(spec))
+    rows = _family_rows(spec)
     t = spec.threshold
-    for i in range(1, 4):
-        assert sum(f.bit(i) for f in fams) == t * spec.q  # 15 of 25
-    for i, j in itertools.combinations(range(1, 4), 2):
-        both = sum(1 for f in fams if f.bit(i) and f.bit(j))
-        assert both == t * t  # 9 of 25
+    assert rows.sum(axis=0).tolist() == [t * spec.q] * 3  # 15 of 25
+    for i, j in itertools.combinations(range(3), 2):
+        assert np.count_nonzero(rows[:, i] & rows[:, j]) == t * t  # 9 of 25
 
 
 def test_k1_family_is_constant_functions():
     spec = HashFamilySpec(n=3, k=1, a=1, b=2, q=5)
-    fams = list(enum_family(spec))
-    assert len(fams) == 5
-    ones = 0
-    for f in fams:
-        bits = {f.bit(i) for i in range(1, 4)}
-        assert len(bits) == 1  # degree-0 polynomial: constant
-        ones += bits.pop()
-    assert ones == spec.threshold  # marginal exactly t/q
+    rows = _family_rows(spec)
+    assert rows.shape == (5, 3)
+    assert (rows == rows[:, :1]).all()  # degree-0 polynomial: constant
+    assert np.count_nonzero(rows[:, 0]) == spec.threshold  # marginal exactly t/q
 
 
 def test_three_wise_independence_for_k3():
     spec = HashFamilySpec(n=3, k=3, a=1, b=2, q=3)
-    fams = list(enum_family(spec))
-    assert len(fams) == 27
+    rows = _family_rows(spec)
+    assert len(rows) == 27
     t = spec.threshold
     # every triple pattern on 3 distinct points appears with product frequency
-    count_111 = sum(1 for f in fams if f.bit(1) and f.bit(2) and f.bit(3))
-    assert count_111 * spec.q**3 == t**3 * len(fams)
+    count_111 = np.count_nonzero(rows.all(axis=1))
+    assert count_111 * spec.q**3 == t**3 * len(rows)
 
 
 @given(
@@ -138,7 +138,7 @@ def test_batch_matches_enumeration(n, k, seed):
     fams = list(enum_family(spec))
     rows = []
     for high in itertools.product(range(q), repeat=k - 1):
-        rows.append(batch_assignments(spec, high))
+        rows.append(batch_assignments(spec, high, 0, q))
     stacked = np.concatenate(rows, axis=0)
     assert stacked.shape == (spec.size, n)
     for f, row in zip(fams, stacked):
@@ -149,7 +149,7 @@ def test_batch_matches_enumeration(n, k, seed):
 
 def test_batch_chunking_matches_full_block():
     spec = HashFamilySpec(n=4, k=2, a=1, b=3, q=7)
-    full = batch_assignments(spec, (2,))
+    full = batch_assignments(spec, (2,), 0, 7)
     parts = [
         batch_assignments(spec, (2,), s, min(s + 3, 7)) for s in (0, 3, 6)
     ]
@@ -166,14 +166,13 @@ def test_batch_chunking_matches_full_block():
 def test_candidate_chunks_bounded_and_tiling(n, q, k, row_cells):
     k = min(k, n)
     spec = HashFamilySpec(n=n, k=k, a=1, b=2, q=q)
-    coeffs, rows = [], []
-    for high, c0, bits in _candidate_chunks(spec, row_cells):
+    rows = []
+    for bits in _candidate_chunks(spec, row_cells):
         assert len(bits) == 1 or len(bits) * max(n, row_cells) <= CHUNK_CELLS
-        coeffs += [high + (c0 + i,) for i in range(len(bits))]
         rows.append(bits)
     # the chunks cover the family once, in enumeration order
-    assert coeffs == list(itertools.product(range(q), repeat=k))
-    whole = [batch_assignments(spec, high) for high in itertools.product(range(q), repeat=k - 1)]
+    highs = itertools.product(range(q), repeat=k - 1)
+    whole = [batch_assignments(spec, high, 0, q) for high in highs]
     assert np.array_equal(np.concatenate(rows), np.concatenate(whole))
 
 
@@ -196,12 +195,10 @@ def test_family_search_matches_plain_scan(q, k, scan_cap, seed):
     formula = Formula(n=n, clauses=tuple(clauses))
     threshold = rng.randint(0, formula.m + 1)  # m + 1 accepts nothing
 
-    with meter_scope("search") as sc:
-        out = family_search(
-            spec, formula, lambda c: c >= threshold, "test", "clauses", scan_cap
-        )
-    fams = list(enum_family(spec))
-    counts = [eval_assignment(formula, assignment_from_hash(f, n)) for f in fams]
+    with meter_scope("search") as sc, mock.patch.object(hashfam, "SCAN_CAP", scan_cap):
+        out = family_search(spec, formula, lambda c: c >= threshold, "test", "clauses")
+    rows = [assignment_from_hash(f, n) for f in enum_family(spec)]
+    counts = [eval_assignment(formula, row) for row in rows]
     first = next((i for i, c in enumerate(counts) if c >= threshold), None)
 
     assert sc.report.pass_counts == {"clauses": out.scanned}
@@ -216,6 +213,7 @@ def test_family_search_matches_plain_scan(q, k, scan_cap, seed):
     else:
         assert out.family_index == first
         assert out.scanned == first + 1
-    assert out.function == fams[out.family_index]
+    assert out.assignment.tolist() == rows[out.family_index].tolist()
+    assert out.assignment.dtype == bool and out.assignment.base is None  # not a chunk view
     assert out.count == counts[out.family_index]
     assert (out.family_size, out.q, out.threshold_desc) == (spec.size, q, "test")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from satmeter import oracle
 from satmeter.formula import Formula, eval_assignment
-from satmeter.hashfam import HashFamilySpec, assignment_from_hash, enum_family
+from satmeter.hashfam import HashFamilySpec
 from satmeter.oracle import (
     ORACLE_VAR_CAP,
     OracleCapError,
@@ -17,7 +17,7 @@ from satmeter.oracle import (
     expected_satisfied,
 )
 
-from conftest import random_formula
+from conftest import assignment_from_hash, enum_family, random_formula
 
 
 def _exact(f):
