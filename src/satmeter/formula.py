@@ -6,13 +6,12 @@ list over variables ``1..n``, stored once as CSR arrays: clause j (0-based)
 is ``lits[offsets[j]:offsets[j + 1]]``.  Parsing and public construction
 validate those arrays with numpy; formulas derived from a valid one (sign
 flips, clause subsets, renumberings) come from ``Formula.trusted`` and skip
-re-validation.  ``formula.clauses``, the tuple-of-tuples view, is built on
-first use.  DIMACS text is tokenized on its bytes by numpy where the
+re-validation.  DIMACS text is tokenized on its bytes by numpy where the
 clause section holds only digits, '-' and ASCII blanks, and read line by
 line otherwise.  An assignment is a bool vector of length n, x_i at
 index i - 1, from every solver to the report.  The incidence graph is a
 plain adjacency dict over ``("x", i)`` and ``("C", j)`` vertices, the
-mapping ``bfs_tree`` walks.
+mapping ``bfs_tree`` walks; a variable that occurs in no clause is not in it.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class Formula:
     The clause arrays are read-only.
     """
 
-    __slots__ = ("n", "r", "offsets", "lits", "_clauses")
+    __slots__ = ("n", "r", "offsets", "lits")
 
     def __init__(self, n: int, clauses, r: int = 0):
         clauses = [tuple(clause) for clause in clauses]
@@ -72,7 +71,6 @@ class Formula:
     def _set(self, n: int, offsets: np.ndarray, lits: np.ndarray, r: int) -> None:
         offsets.flags.writeable = lits.flags.writeable = False
         self.n, self.offsets, self.lits, self.r = n, offsets, lits, r
-        self._clauses = None
 
     @classmethod
     def from_arrays(cls, n: int, offsets, lits, given=None) -> Formula:
@@ -145,14 +143,6 @@ class Formula:
     def widths(self) -> np.ndarray:
         return self.offsets[1:] - self.offsets[:-1]
 
-    @property
-    def clauses(self) -> tuple[tuple[int, ...], ...]:
-        """The clauses as a tuple of literal tuples, built on first use."""
-        if self._clauses is None:
-            flat, ends = self.lits.tolist(), self.offsets.tolist()
-            self._clauses = tuple(tuple(flat[a:b]) for a, b in pairwise(ends))
-        return self._clauses
-
     def subsets(self, groups: list[list[int]]) -> list[Formula]:
         """One formula per group of 0-based clause indices, each in the given
         order, over the same variables and ``r``; one gather serves all."""
@@ -170,14 +160,8 @@ class Formula:
         ]
 
     def __repr__(self) -> str:
-        return f"Formula(n={self.n}, clauses={self.clauses!r}, r={self.r})"
-
-    def __eq__(self, other) -> bool:
-        same = isinstance(other, Formula) and (self.n, self.r) == (other.n, other.r)
-        return same and self.clauses == other.clauses
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, self.clauses))
+        return (f"Formula(n={self.n}, offsets={self.offsets.tolist()}, "
+                f"lits={self.lits.tolist()}, r={self.r})")
 
 
 def _ints(tokens: list[str]) -> list[int]:
@@ -356,13 +340,16 @@ Vertex = tuple[str, int]
 def incidence_graph(formula: Formula) -> dict[Vertex, list[Vertex]]:
     """Bipartite variable-clause incidence graph as an adjacency dict.
 
-    Every variable is a key, then every clause.  A clause lists its
-    variables in literal order; a variable lists its clauses in index order.
+    The variables that occur in some clause are keys, ascending, then every
+    clause; a declared variable that occurs nowhere is not a vertex.  A
+    clause lists its variables in literal order; a variable lists its
+    clauses in index order.
     """
-    graph: dict[Vertex, list[Vertex]] = {("x", i): [] for i in range(1, formula.n + 1)}
-    for j, clause in enumerate(formula.clauses, start=1):
+    var = [abs(lit) for lit in formula.lits.tolist()]
+    graph: dict[Vertex, list[Vertex]] = {("x", i): [] for i in sorted(set(var))}
+    for j, (a, b) in enumerate(pairwise(formula.offsets.tolist()), start=1):
         cv = ("C", j)
-        graph[cv] = [("x", abs(lit)) for lit in clause]
+        graph[cv] = [("x", i) for i in var[a:b]]
         for xv in graph[cv]:
             graph[xv].append(cv)
     return graph

@@ -20,6 +20,7 @@ family with marginal p = t/q.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 
@@ -45,9 +46,10 @@ def _restrict(
     """
     const = 0
     reduced = []
-    for clause in formula.clauses:
+    flat = formula.lits.tolist()
+    for a, b in pairwise(formula.offsets.tolist()):
         free = []
-        for lit in clause:
+        for lit in flat[a:b]:
             var = abs(lit)
             if var > high:
                 free.append(lit)
@@ -114,9 +116,10 @@ def expected_satisfied(formula: Formula, p: Fraction) -> Fraction:
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
     total = Fraction(0)
-    for clause in formula.clauses:
+    flat = formula.lits.tolist()
+    for a, b in pairwise(formula.offsets.tolist()):
         miss = Fraction(1)
-        for lit in clause:
+        for lit in flat[a:b]:
             miss *= (1 - p) if lit > 0 else p
         total += 1 - miss
     return total

@@ -46,23 +46,25 @@ def connect_with_dummy(formula: Formula) -> dict[Vertex, list[Vertex]]:
     return graph
 
 
-def bfs_levels(graph: dict[Vertex, list[Vertex]], root: Vertex) -> dict[Vertex, int]:
+def bfs_levels(graph: dict[Vertex, list[Vertex]], root: Vertex,
+               num_vertices: int) -> dict[Vertex, int]:
     """1-based BFS levels of the incidence graph from `root`.
 
     Stands in for a sublinear-space planar BFS with the same output
     contract; the metered charge is that contract's sqrt(V)*log(V) cells,
-    not the queue the stand-in actually uses.
+    not the queue the stand-in actually uses.  V is ``num_vertices``, the
+    declared vertex count, with the variables that are not keys of ``graph``.
     """
-    num_vertices = max(len(graph), 2)
+    num_vertices = max(num_vertices, 2)
     contract_cells = math.isqrt(num_vertices - 1) + 1
     contract_cells *= max(1, math.ceil(math.log2(num_vertices)))
     with meter_scope("bfs"), tracked(contract_cells):
         level_of: dict[Vertex, int] = {}
         for v, p in bfs_tree(root, graph).items():
             level_of[v] = 1 if v == p else level_of[p] + 1
-    unreachable_clauses = [v for v in graph if v[0] == "C" and v not in level_of]
-    if unreachable_clauses:
-        raise ValueError(f"graph not connected: clause vertex {unreachable_clauses[0]} "
+    unreachable = [v for v in graph if v[0] == "C" and v not in level_of]
+    if unreachable:
+        raise ValueError(f"graph not connected: clause vertex {unreachable[0]} "
                          "unreachable from root")
     return level_of
 
@@ -126,7 +128,7 @@ def partition(formula: Formula, k: int) -> PartitionResult:
     dummy_clause = formula.m + 1
     with meter_scope("partition"):
         graph = connect_with_dummy(formula)
-        level_of = bfs_levels(graph, ("x", formula.n + 1))
+        level_of = bfs_levels(graph, ("x", formula.n + 1), formula.n + formula.m + 2)
         chosen, losses = choose_deletion_band(level_of, k, skip_clause=dummy_clause)
         # keep level L unless triple floor(L/2) or floor((L-1)/2) is deleted
         kept = {

@@ -31,6 +31,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Any
 
 import numpy as np
@@ -137,7 +138,7 @@ def validate_td(
     formula: Formula, td: TreeDecomposition
 ) -> tuple[bool, str | None]:
     """Check the three decomposition axioms against the formula's incidence
-    graph; returns (ok, witness).
+    graph (clauses and the variables that occur); returns (ok, witness).
 
     Vertices and occurrence sets are checked clauses first, then
     variables, each by index, and edges clause by clause, each clause's
@@ -148,14 +149,15 @@ def validate_td(
     for node, bag in enumerate(td.bags):
         for v in bag:
             occurrences.setdefault(v, set()).add(node)
+    var = [abs(lit) for lit in formula.lits.tolist()]
     for v in [("C", j) for j in range(1, formula.m + 1)] + [
-        ("x", i) for i in range(1, formula.n + 1)
+        ("x", i) for i in sorted(set(var))
     ]:
         if v not in occurrences:
             return False, f"vertex {v} in no bag"
-    for j, clause in enumerate(formula.clauses, start=1):
+    for j, (a, b) in enumerate(pairwise(formula.offsets.tolist()), start=1):
         u = ("C", j)
-        for v in sorted(("x", abs(lit)) for lit in clause):
+        for v in sorted(("x", i) for i in var[a:b]):
             if occurrences[u].isdisjoint(occurrences[v]):
                 return False, f"edge {u}-{v} in no bag"
     # connected occurrence subtrees: count tree edges inside each vertex's
@@ -317,7 +319,7 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[dict, int, i
     ``above`` (tested once per node frame) and ``pp[p]`` (satisfied by the
     node's pattern p).  ``calls`` lists the other called children.
     """
-    clauses = formula.clauses
+    flat, ends = formula.lits.tolist(), formula.offsets.tolist()
     owned_ids: set[int] = set()
     below: dict[int, int] = {}  # the variables set above a node's children
     new: dict[int, int] = {}
@@ -332,8 +334,9 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[dict, int, i
         mask = sum(1 << i for kind, i in bag if kind == "x")
         owned[node] = []
         for j in owns:
-            pos = sum(1 << lit for lit in clauses[j - 1] if lit > 0)
-            neg = sum(1 << -lit for lit in clauses[j - 1] if lit < 0)
+            clause = flat[ends[j - 1] : ends[j]]
+            pos = sum(1 << lit for lit in clause if lit > 0)
+            neg = sum(1 << -lit for lit in clause if lit < 0)
             owned[node].append((pos, neg))
             mask |= pos | neg
         domain = 0 if node == parent else below[parent]

@@ -16,6 +16,7 @@ re-validation, charged as one ``twosat`` pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Any
 
 import numpy as np
@@ -94,7 +95,9 @@ class TwoSatStream:
         return Formula.trusted(f.n, csr_offsets(widths), lits)
 
     def clauses(self) -> list[tuple[int, ...]]:
-        return list(self.formula().clauses)
+        f = self.formula()
+        flat = f.lits.tolist()
+        return [tuple(flat[a:b]) for a, b in pairwise(f.offsets.tolist())]
 
     def flipped_vars(self) -> frozenset[int]:
         lits = self.formula().lits  # one pass; the flipped variables come last

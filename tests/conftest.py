@@ -3,8 +3,10 @@
 ``random_formula`` and its kin emit formulas with pairwise-distinct
 clauses.  ``Formula`` does not enforce that: it keeps duplicate clauses and
 counts them with multiplicity, and ``formulas_with_duplicates`` draws such
-formulas.  ``HashFunction`` and ``enum_family`` are the hash family point by
-point in Python ints, the reference for the solvers' batched evaluator.
+formulas.  ``clause_tuples`` is a formula's clauses as literal tuples, the
+view the references read.  ``HashFunction`` and ``enum_family`` are the
+hash family point by point in Python ints, the reference for the solvers'
+batched evaluator.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ from hypothesis import strategies as st
 
 from satmeter.formula import Formula
 from satmeter.planar import gen_planar_instance
+
+
+def clause_tuples(f: Formula) -> tuple[tuple[int, ...], ...]:
+    """The clauses of ``f`` as a tuple of literal tuples, in order."""
+    flat = f.lits.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in itertools.pairwise(f.offsets.tolist()))
 
 
 def as_dict(phi) -> dict[int, int]:
@@ -131,5 +139,5 @@ def two_chains() -> Formula:
     first = gen_planar_instance("chain", 12, seed=0)
     second = gen_planar_instance("chain", 12, seed=1)
     shifted = tuple(tuple(lit + 12 if lit > 0 else lit - 12 for lit in c)
-                    for c in second.clauses)
-    return Formula(n=24, clauses=first.clauses + shifted)
+                    for c in clause_tuples(second))
+    return Formula(n=24, clauses=clause_tuples(first) + shifted)

@@ -310,3 +310,27 @@ def test_huge_band_modulus_runs(capsys, tmp_path):
     assert rep["space"] == least["space"]
     code, rep = run_json(capsys, ["partition", "--k", "10000000000000", str(chain)])
     assert code == 0 and rep["partition"]["ok"]
+
+
+@pytest.mark.parametrize("text, cells, passes", [
+    ("p cnf 40 5\n1 2 0\n2 3 0\n-3 0\n10 11 0\n11 -12 0\n", 42,
+     {"bfs": 7, "decomposition": 47, "parts": 1}),
+    ("p cnf 1000 3\n1 0\n2 -1 0\n500 0\n", 320,
+     {"bfs": 7, "decomposition": 21, "parts": 1}),
+], ids=["n40", "n1000"])
+def test_bfs_charge_counts_unused_variables(capsys, tmp_path, text, cells, passes):
+    # the BFS stand-in is charged for the declared n + m + 2 vertices, the
+    # variables in no clause included, though the graph keys only the others
+    path = tmp_path / "unused.cnf"
+    path.write_text(text)
+    code, rep = run_json(capsys, ["solve", "--alg", "planar-ptas", "--eps", "1/3", str(path)])
+    assert code == 0
+    assert (rep["space"]["peak_aux_cells"], rep["space"]["pass_counts"]) == (cells, passes)
+
+
+def test_partition_at_the_variable_cap_exits_0(tmp_path):
+    # one clause over n = MAX_VARS declared variables: the incidence graph
+    # keys only x1, so nothing is allocated per declared variable
+    cap = tmp_path / "cap.cnf"
+    cap.write_text(f"p cnf {MAX_VARS} 1\n1 0\n")
+    assert _exit_codes_within_1gb([["partition", "--k", "3", str(cap)]]) == [0]

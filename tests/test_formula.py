@@ -28,7 +28,7 @@ from satmeter.formula import (
 
 import numpy as np
 
-from conftest import as_dict, formulas_with_duplicates, random_formula
+from conftest import as_dict, clause_tuples, formulas_with_duplicates, random_formula
 
 
 def parse_assignment(text: str) -> dict[int, int]:
@@ -50,7 +50,7 @@ def test_parse_basic():
     f = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")
     assert f.n == 2
     assert f.r == 2
-    assert f.clauses == ((1, 2), (-1,))
+    assert clause_tuples(f) == ((1, 2), (-1,))
 
 
 def test_parse_tautology_rejected():
@@ -60,12 +60,12 @@ def test_parse_tautology_rejected():
 
 def test_parse_duplicate_literal_collapsed():
     f = parse_dimacs("p cnf 2 1\n1 1 2 0\n")
-    assert f.clauses == ((1, 2),)
+    assert clause_tuples(f) == ((1, 2),)
 
 
 def test_parse_multiline_clause_and_comments():
     f = parse_dimacs("c hi\np cnf 3 1\n1\n2 -3 0\n")
-    assert f.clauses == ((1, 2, -3),)
+    assert clause_tuples(f) == ((1, 2, -3),)
 
 
 def test_parse_count_mismatch_warns():
@@ -137,14 +137,19 @@ def test_incidence_graph_example():
 
 
 def test_incidence_graph_trivial_cases():
-    assert incidence_graph(Formula(n=2, clauses=())) == {
-        ("x", 1): [],
-        ("x", 2): [],
-    }
+    # a declared variable that occurs in no clause is not a vertex
+    assert incidence_graph(Formula(n=2, clauses=())) == {}
     assert incidence_graph(Formula(n=1, clauses=((1,),))) == {
         ("x", 1): [("C", 1)],
         ("C", 1): [("x", 1)],
     }
+    graph = incidence_graph(Formula(n=5, clauses=((4, -2), (2,))))
+    assert list(graph.items()) == [  # the used variables ascending, then the clauses
+        (("x", 2), [("C", 1), ("C", 2)]),
+        (("x", 4), [("C", 1)]),
+        (("C", 1), [("x", 4), ("x", 2)]),
+        (("C", 2), [("x", 2)]),
+    ]
 
 
 def _reference_components(starts, graph, allowed):
@@ -186,7 +191,7 @@ def test_dimacs_roundtrip(n, m, seed):
     f = random_formula(random.Random(seed), n, m, min(3, n))
     parsed = parse_dimacs(serialize_dimacs(f))
     # r is re-inferred from the clauses on parse, so compare the structure
-    assert (parsed.n, parsed.clauses) == (f.n, f.clauses)
+    assert (parsed.n, clause_tuples(parsed)) == (f.n, clause_tuples(f))
 
 
 @given(st.integers(1, 8), st.integers(1, 20), st.integers(0, 2**30))
@@ -283,7 +288,7 @@ def _array_parse(text):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         f = parse_dimacs(text)
-    return f.n, f.clauses, f.r
+    return f.n, clause_tuples(f), f.r
 
 
 # tokens the byte reader refuses or reads with care: signs, leading zeros,
@@ -413,7 +418,7 @@ def test_byte_tokens_match_int_at_int64_boundary():
 def test_formula_validation_matches_tuple_reference(n, clauses, r):
     def array_core(n, clauses, r):
         f = Formula(n=n, clauses=clauses, r=r)
-        return f.clauses, f.r
+        return clause_tuples(f), f.r
 
     assert _outcome(array_core, n, clauses, r) == _outcome(
         _reference_clauses, n, clauses, r
@@ -422,21 +427,21 @@ def test_formula_validation_matches_tuple_reference(n, clauses, r):
 
 def _reference_serialize(f):
     lines = [f"p cnf {f.n} {f.m}"]
-    lines += [" ".join(str(lit) for lit in clause) + " 0" for clause in f.clauses]
+    lines += [" ".join(str(lit) for lit in clause) + " 0" for clause in clause_tuples(f)]
     return "\n".join(lines) + "\n"
 
 
 def _reference_eval(f, phi):
     true_lits = {var if value else -var for var, value in phi.items()}
-    return sum(not true_lits.isdisjoint(clause) for clause in f.clauses)
+    return sum(not true_lits.isdisjoint(clause) for clause in clause_tuples(f))
 
 
 def _reference_pack(f):
     """Each clause padded to the max width by repeating its last literal."""
-    width = max((len(c) for c in f.clauses), default=1)
+    width = max((len(c) for c in clause_tuples(f)), default=1)
     var_idx = np.zeros((f.m, width), dtype=np.int64)
     negated = np.zeros((f.m, width), dtype=bool)
-    for j, clause in enumerate(f.clauses):
+    for j, clause in enumerate(clause_tuples(f)):
         for s in range(width):
             lit = clause[min(s, len(clause) - 1)]
             var_idx[j, s], negated[j, s] = abs(lit) - 1, lit < 0
@@ -448,7 +453,7 @@ def _reference_bias(f):
     scale = 1 << r
     per_var = {i: 0 for i in range(1, f.n + 1)}
     hist = {}
-    for clause in f.clauses:
+    for clause in clause_tuples(f):
         hist[len(clause)] = hist.get(len(clause), 0) + 1
         for lit in clause:
             per_var[abs(lit)] += (scale >> len(clause)) * (1 if lit > 0 else -1)
@@ -462,14 +467,14 @@ def _reference_two_sat(f):
     variables' units last) and flips.  A variable with p positive and q
     negative units is flipped iff q > p and keeps |p - q| copies of its
     majority unit, plus one when it has units of both signs."""
-    units = [c[0] for c in f.clauses if len(c) == 1]
+    units = [c[0] for c in clause_tuples(f) if len(c) == 1]
     pos = {v: units.count(v) for v in range(1, f.n + 1)}
     neg = {v: units.count(-v) for v in range(1, f.n + 1)}
     flip = {v for v in pos if neg[v] > pos[v]}
     copies = {v: abs(pos[v] - neg[v]) + (min(pos[v], neg[v]) >= 1) for v in pos}
     clauses = [
         tuple(-lit if abs(lit) in flip else lit for lit in c)
-        for c in f.clauses if len(c) >= 2
+        for c in clause_tuples(f) if len(c) >= 2
     ]
     clauses += [(v,) for v in pos if v not in flip for _ in range(copies[v])]
     clauses += [(v,) for v in pos if v in flip for _ in range(copies[v])]
@@ -509,11 +514,12 @@ def test_transforms_match_tuple_reference(f, seed):
     clauses, flip = _reference_two_sat(f)
     ts = to_two_satisfiable(f)
     fprime, passes = _passes(ts.formula)
-    assert (fprime.clauses, passes) == (tuple(clauses), {"twosat": 1, "input": 2})
+    assert (clause_tuples(fprime), passes) == (tuple(clauses), {"twosat": 1, "input": 2})
     assert fprime.r == max(map(len, clauses), default=0)
     assert _passes(ts.flipped_vars) == (flip, {"twosat": 1, "input": 2})
     assert ts.clauses() == clauses
     neg_vars = frozenset(random.Random(seed).sample(range(1, f.n + 1), f.n // 2))
-    flipped = [tuple(-lit if abs(lit) in neg_vars else lit for lit in c) for c in f.clauses]
+    flipped = [tuple(-lit if abs(lit) in neg_vars else lit for lit in c) for c in clause_tuples(f)]
     fp, passes = _passes(lambda: flipped_formula(f, neg_vars))
-    assert (fp.n, fp.clauses, fp.r, passes) == (f.n, tuple(flipped), f.r, {"posbias": 1, "input": 1})
+    assert (fp.n, clause_tuples(fp), fp.r, passes) == (
+        f.n, tuple(flipped), f.r, {"posbias": 1, "input": 1})

@@ -17,7 +17,7 @@ from satmeter.oracle import (
     expected_satisfied,
 )
 
-from conftest import assignment_from_hash, enum_family, random_formula
+from conftest import assignment_from_hash, clause_tuples, enum_family, random_formula
 
 
 def _exact(f):
@@ -115,8 +115,9 @@ def _reference_maxsat(f):
 )
 def test_oracle_counts_duplicate_clauses(n, m, picks, seed):
     base = random_formula(random.Random(seed), n, m, min(3, n))
-    extra = tuple(base.clauses[i % base.m] for i in picks)
-    f = Formula(n=n, clauses=base.clauses + extra)
+    clauses = clause_tuples(base)
+    extra = tuple(clauses[i % base.m] for i in picks)
+    f = Formula(n=n, clauses=clauses + extra)
     assert _exact(f) == _reference_maxsat(f)
 
 
@@ -134,8 +135,9 @@ def test_oracle_block_split(monkeypatch, n):
         for _ in range(6):
             base = random_formula(rng, n, rng.randint(1, 4 * n), 3)
             picks = range(rng.randint(1, 6))
-            extra = tuple(rng.choice(base.clauses) for _ in picks)
-            f = Formula(n=n, clauses=base.clauses + extra)
+            clauses = clause_tuples(base)
+            extra = tuple(rng.choice(clauses) for _ in picks)
+            f = Formula(n=n, clauses=clauses + extra)
             assert _exact(f) == _reference_maxsat(f)
         # a tie across blocks: the witness comes from the first block
         tie = Formula(n=n, clauses=((1,), (-1,)))

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import random_formula, two_chains
-from satmeter.formula import Formula, bfs_tree, incidence_graph
+from conftest import clause_tuples, random_formula, two_chains
+from satmeter.formula import Formula, bfs_tree, incidence_graph, serialize_dimacs
 from satmeter.planar import (
     bfs_levels,
     choose_deletion_band,
@@ -22,7 +22,7 @@ HUGE_K = 10**13
 def _levels(f: Formula):
     """The dummy-connected incidence graph and its levels from the dummy."""
     graph = connect_with_dummy(f)
-    return graph, bfs_levels(graph, ("x", f.n + 1))
+    return graph, bfs_levels(graph, ("x", f.n + 1), f.n + f.m + 2)
 
 
 def _reference_band(level_of, k, skip_clause):
@@ -75,7 +75,7 @@ def _multi_component_formula(rng: random.Random) -> Formula:
     for _ in range(rng.randint(1, 4)):
         block = random_formula(rng, rng.randint(1, 8), rng.randint(0, 12), rng.randint(1, 3))
         clauses += [tuple(lit + offset if lit > 0 else lit - offset for lit in c)
-                    for c in block.clauses]
+                    for c in clause_tuples(block)]
         offset += block.n + rng.randint(0, 2)  # isolated variables
     if offset:
         clauses += [(rng.choice((1, -1)) * rng.randint(1, offset),) for _ in range(2)]
@@ -92,7 +92,7 @@ def test_connect_with_dummy_two_components():
     nbrs = set(graph[dummy])
     assert ("C", 1) in nbrs and ("C", 2) in nbrs and ("C", 3) in nbrs
     assert graph[("C", 3)] == [dummy]
-    level_of = bfs_levels(graph, dummy)
+    level_of = bfs_levels(graph, dummy, 6)
     assert {v for v in graph if v[0] == "C"} <= set(level_of)
 
 
@@ -187,7 +187,7 @@ def test_partition_shallow_instance_keeps_everything():
     result = partition(f, 8)
     assert len(result.parts) == 1
     assert result.retained == f.m
-    assert result.parts[0].clauses == f.clauses
+    assert clause_tuples(result.parts[0]) == clause_tuples(f)
 
 
 def test_partition_grid_example():
@@ -205,8 +205,8 @@ def test_verify_partition_detects_shared_variable():
     if len(result.parts) < 2:
         pytest.skip("needs two parts")
     # part 0 also takes a clause of part 1, so the two share its variables
-    stolen = result.parts[1].clauses[0]
-    merged = Formula(n=f.n, clauses=result.parts[0].clauses + (stolen,))
+    stolen = clause_tuples(result.parts[1])[0]
+    merged = Formula(n=f.n, clauses=clause_tuples(result.parts[0]) + (stolen,))
     broken = replace(result, parts=(merged,) + result.parts[1:])
     report = verify_partition(f, broken, 3)
     assert not report.disjoint
@@ -222,8 +222,9 @@ def test_partition_matches_reference_band():
             chosen, losses, parts = _reference_parts(f, k)
             assert (result.chosen_i, result.residue_losses) == (chosen, losses)
             assert result.part_clause_indices == parts
-            assert [p.clauses for p in result.parts] == [
-                tuple(f.clauses[j - 1] for j in ids) for ids in parts
+            clauses = clause_tuples(f)
+            assert [clause_tuples(p) for p in result.parts] == [
+                tuple(clauses[j - 1] for j in ids) for ids in parts
             ]
             assert result.retained == f.m - result.clause_loss
             assert verify_partition(f, result, k).ok
@@ -251,7 +252,7 @@ def test_partition_rejects_small_k():
 
 def test_generators_are_planar_and_shaped():
     chain = gen_planar_instance("chain", 8, seed=0)
-    assert chain.m == 7 and all(len(c) == 2 for c in chain.clauses)
+    assert chain.m == 7 and all(len(c) == 2 for c in clause_tuples(chain))
     g = incidence_graph(chain)
     degs = sorted(len(g[("x", i)]) for i in range(1, 9))
     assert degs == [1, 1, 2, 2, 2, 2, 2, 2]  # path
@@ -266,10 +267,10 @@ def test_generators_are_planar_and_shaped():
 
 
 def test_generator_determinism():
-    a = gen_planar_instance("grid", (4, 4), seed=9)
-    b = gen_planar_instance("grid", (4, 4), seed=9)
+    a = serialize_dimacs(gen_planar_instance("grid", (4, 4), seed=9))
+    b = serialize_dimacs(gen_planar_instance("grid", (4, 4), seed=9))
     assert a == b
-    c = gen_planar_instance("grid", (4, 4), seed=10)
+    c = serialize_dimacs(gen_planar_instance("grid", (4, 4), seed=10))
     assert a != c
 
 

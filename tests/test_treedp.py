@@ -27,7 +27,7 @@ from satmeter.treedp import (
     validate_td,
 )
 
-from conftest import as_dict, random_formula
+from conftest import as_dict, clause_tuples, random_formula
 
 
 def _path_graph(k):
@@ -51,8 +51,8 @@ def test_decompose_cycle_width_2():
 
 
 def test_decompose_single_vertex():
-    g = incidence_graph(Formula(n=1, clauses=()))
-    td = tree_decompose(g)
+    # given directly: an incidence graph keys no variable without clauses
+    td = tree_decompose({("x", 1): []})
     assert td.bags == (frozenset({("x", 1)}),)
     assert td.width == 0
 
@@ -258,10 +258,11 @@ def _frames_of(td, formula):
                 owner.setdefault(j, node)
     owned = {node: sorted(j for j, o in owner.items() if o == node) for node in order}
     frame, new, above = {}, {}, {td.root: set()}
+    clauses = clause_tuples(formula)
     for node in order:
         frame[node] = {i for kind, i in td.bags[node] if kind == "x"}
         for j in owned[node]:
-            frame[node].update(abs(lit) for lit in formula.clauses[j - 1])
+            frame[node].update(abs(lit) for lit in clauses[j - 1])
         new[node] = frame[node] - above[node]
         for child in td.children[node]:
             above[child] = above[node] | frame[node]
@@ -274,6 +275,7 @@ def _reference_bdtw(td, formula):
     assert validate_td(formula, td)[0]
     _, _, owners, frame, _ = _frames_of(td, formula)
     frame_vars = {node: tuple(sorted(vs)) for node, vs in frame.items()}
+    clauses = clause_tuples(formula)
 
     def solve(node, psi):
         new_vars = tuple(v for v in frame_vars[node] if v not in psi)
@@ -286,7 +288,7 @@ def _reference_bdtw(td, formula):
                 local = psi | ext
                 val = 0
                 for j in owners[node]:
-                    for lit in formula.clauses[j - 1]:
+                    for lit in clauses[j - 1]:
                         v = local[abs(lit)]
                         if (v == 1) == (lit > 0):
                             val += 1
@@ -330,8 +332,9 @@ def _assert_dp_contract(td, formula):
 
 
 def _with_duplicates(rng, f, copies):
-    extra = tuple(rng.choice(f.clauses) for _ in range(copies)) if f.m else ()
-    return Formula(n=f.n, clauses=f.clauses + extra)
+    clauses = clause_tuples(f)
+    extra = tuple(rng.choice(clauses) for _ in range(copies)) if f.m else ()
+    return Formula(n=f.n, clauses=clauses + extra)
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,6 +388,8 @@ def _mutations(rng, td, vertices):
             dropped = bags.copy()
             dropped[node] = bag - {rng.choice(sorted(bag))}
             yield dropped
+    if not vertices:  # no clause, so no vertex to drop or add
+        return
     gone = rng.choice(vertices)
     yield [bag - {gone} for bag in bags]
     added = bags.copy()
@@ -406,7 +411,7 @@ def _mutations(rng, td, vertices):
 def test_validate_td_matches_graph_reference(n, m, copies, seed):
     rng = random.Random(seed)
     f = random_formula(rng, n, m, min(3, n))
-    shuffled = tuple(tuple(rng.sample(c, len(c))) for c in f.clauses)
+    shuffled = tuple(tuple(rng.sample(c, len(c))) for c in clause_tuples(f))
     f = _with_duplicates(rng, Formula(n=n, clauses=shuffled), copies)
     graph = incidence_graph(f)
     vertices = sorted(graph)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from satmeter.formula import Formula, eval_assignment
@@ -15,7 +16,7 @@ from satmeter.twosat import (
     to_two_satisfiable,
 )
 
-from conftest import formulas_with_duplicates, random_formula
+from conftest import clause_tuples, formulas_with_duplicates, random_formula
 
 LS_RATIO = Fraction(618, 1000)
 
@@ -91,8 +92,8 @@ def test_transform_count_conservation_on_pair_free_formulas():
     while checked < 30:
         n = rng.randint(2, 8)
         f = random_formula(rng, n, rng.randint(1, 3 * n), min(3, n))
-        pos = {c[0] for c in f.clauses if len(c) == 1 and c[0] > 0}
-        neg = {-c[0] for c in f.clauses if len(c) == 1 and c[0] < 0}
+        pos = {c[0] for c in clause_tuples(f) if len(c) == 1 and c[0] > 0}
+        neg = {-c[0] for c in clause_tuples(f) if len(c) == 1 and c[0] < 0}
         if pos & neg:
             continue
         checked += 1
@@ -108,6 +109,28 @@ def test_transform_count_conservation_on_pair_free_formulas():
             assert eval_assignment(f, phi) == eval_assignment(
                 fprime, phi_prime
             )
+
+
+@settings(max_examples=200, deadline=None)
+@example(Formula(n=1, clauses=((1,), (-1,), (-1,))), 0)  # both signs, flipped
+@example(Formula(n=2, clauses=((1,), (-1,), (1, 2))), 2)  # both signs, not flipped
+@given(formulas_with_duplicates(), st.integers(0, 2**7 - 1))
+def test_transform_unit_multiplicity_identity(f, bits):
+    """With p positive and q negative units on x_i and d = min(p, q) -
+    [min(p, q) >= 1], any row phi' over the transformed formula satisfies
+    count_F(phi' ^ flip) >= count_T(phi') + sum d, with equality when phi'
+    is 1 on every variable that has units."""
+    ts = to_two_satisfiable(f)
+    fprime = ts.formula()
+    units = [c[0] for c in clause_tuples(f) if len(c) == 1]
+    p = np.array([units.count(v) for v in range(1, f.n + 1)], dtype=int)
+    q = np.array([units.count(-v) for v in range(1, f.n + 1)], dtype=int)
+    d = int((np.minimum(p, q) - (np.minimum(p, q) >= 1)).sum())
+    flip = np.isin(np.arange(1, f.n + 1), sorted(ts.flipped_vars()))
+    phi_prime = (bits >> np.arange(f.n)) & 1 == 1
+    assert eval_assignment(f, phi_prime ^ flip) >= eval_assignment(fprime, phi_prime) + d
+    phi_prime |= (p + q) > 0
+    assert eval_assignment(f, phi_prime ^ flip) == eval_assignment(fprime, phi_prime) + d
 
 
 def test_ls_search_spec_example():
