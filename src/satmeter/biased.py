@@ -35,20 +35,21 @@ from satmeter.twosat import SolveResult
 class BiasProfile:
     """Per-variable and total bias of a formula, scaled by 2^r.
 
+    ``per_var`` and ``neg`` are indexed by variable (index 0 unused).
     ``per_var[i] / 2^r`` is sum over widths j of
-    (#j-clauses with literal x_i - #j-clauses with literal -x_i) / 2^j.
-    ``b_f`` is the total bias (sum of absolute per-variable biases) and
-    ``b_star`` the branch threshold 4 * sum_i (1 - (i+1)/2^i) m_i, both in
-    the same scaled units.
+    (#j-clauses with literal x_i - #j-clauses with literal -x_i) / 2^j,
+    and ``neg[i]`` is ``per_var[i] < 0``.  ``b_f`` is the total bias (sum of
+    absolute per-variable biases) and ``b_star`` the branch threshold
+    4 * sum_i (1 - (i+1)/2^i) m_i, both in the same scaled units.
     """
 
     r: int
     scale: int  # 2^r
-    per_var: dict[int, int]
+    per_var: np.ndarray  # int64, or object (Python ints) once m * 2^r >= 2^62
     b_f: int
     b_star: int
     histogram: dict[int, int]
-    neg_vars: frozenset[int]
+    neg: np.ndarray  # bool
 
     def b_f_fraction(self) -> Fraction:
         return Fraction(self.b_f, self.scale)
@@ -77,21 +78,17 @@ def bias_profile(formula: Formula) -> BiasProfile:
         count * (scale - (width + 1) * (scale >> width))
         for width, count in hist.items()
     )
-    per_var_dict = dict(enumerate(per_var.tolist()[1:], start=1))
-    neg_vars = frozenset(np.flatnonzero(per_var < 0).tolist())
     b_f = int(np.abs(per_var).sum())
-    return BiasProfile(r, scale, per_var_dict, b_f, b_star, hist, neg_vars)
+    return BiasProfile(r, scale, per_var, b_f, b_star, hist, per_var < 0)
 
 
-def flipped_formula(formula: Formula, neg_vars: frozenset[int]) -> Formula:
-    """The positively-biased formula: every literal over a ``neg_vars``
-    variable flipped by a sign mask; one ``posbias`` and one ``input`` pass."""
+def flipped_formula(formula: Formula, neg: np.ndarray) -> Formula:
+    """The positively-biased formula: every literal over a variable i with
+    ``neg[i]`` flipped; one ``posbias`` and one ``input`` pass."""
     note_pass("posbias")
     note_pass("input")
-    mask = np.zeros(formula.n + 1, dtype=bool)
-    mask[np.fromiter(neg_vars, np.int64, len(neg_vars))] = True
     lits = formula.lits
-    flipped = np.where(mask[np.abs(lits)], -lits, lits)
+    flipped = np.where(neg[np.abs(lits)], -lits, lits)
     return Formula.trusted(formula.n, formula.offsets, flipped, formula.r)
 
 
@@ -162,7 +159,7 @@ def chou_solve(formula: Formula) -> SolveResult:
     with meter_scope("chou_solve") as sc:
         with tracked(10):  # b_F, b*, m_i accumulators, loop registers
             profile = bias_profile(formula)
-            fprime = flipped_formula(formula, profile.neg_vars)
+            fprime = flipped_formula(formula, profile.neg)
             m = formula.m
             outcome = None
             phi = np.ones(formula.n, dtype=bool)  # over fprime until un-flipped
@@ -176,17 +173,16 @@ def chou_solve(formula: Formula) -> SolveResult:
                 with tracked(max(formula.r, 1)):  # candidate coefficients
                     outcome = chou_search(fprime, profile)
                 branch = "family-search"
-                candidate = outcome.assignment
                 note_pass("posbias", 2)
-                if eval_assignment(fprime, candidate) >= eval_assignment(fprime, phi):
-                    phi = candidate
-            phi[[var - 1 for var in profile.neg_vars]] ^= True  # back-transform
+                if outcome.count >= eval_assignment(fprime, phi):
+                    phi = outcome.assignment
+            phi ^= profile.neg[1:]  # back-transform
             count = eval_assignment(formula, phi)
     details = {
         "branch": branch,
         "b_f": str(profile.b_f_fraction()),
         "b_star": str(profile.b_star_fraction()),
-        "neg_vars": sorted(profile.neg_vars),
+        "neg_vars": np.flatnonzero(profile.neg).tolist(),
     }
     if outcome is not None:
         details.update(outcome.details())

@@ -143,13 +143,13 @@ def cmd_bias(args) -> int:
     report = _base_report(formula)
     report["bias"] = {
         "scale": profile.scale,
-        "per_var_scaled": {str(i): v for i, v in profile.per_var.items()},
+        "per_var_scaled": {str(i): v for i, v in enumerate(profile.per_var.tolist()) if i},
         "b_f_scaled": profile.b_f,
         "b_f": str(profile.b_f_fraction()),
         "b_star_scaled": profile.b_star,
         "b_star": str(profile.b_star_fraction()),
         "histogram": {str(w): c for w, c in sorted(profile.histogram.items())},
-        "neg_vars": sorted(profile.neg_vars),
+        "neg_vars": np.flatnonzero(profile.neg).tolist(),
     }
     _emit(report)
     return EXIT_OK

@@ -2,15 +2,14 @@
 
 The 0.618 pipeline: rewrite the input into a 2-satisfiable formula whose
 unit clauses are all positive (flipping polarity of variables with more
-negative than positive unit clauses, and recording which variables the
-back-transform must un-flip), search an enumerated pairwise-independent
+negative than positive unit clauses), search an enumerated pairwise-independent
 family of 618/1000-biased assignments for one satisfying more than 0.618 of
-the transformed clauses, and translate the row it scored back.  Unit
-clauses are counted with their multiplicity, so repeated units keep their
-weight.  The transform works on the source's clause arrays (stored once,
-see ``formula``): a per-variable sign mask flips literals, and each use
-rebuilds the transformed formula as a derived formula, without
-re-validation, charged as one ``twosat`` pass.
+the transformed clauses, and translate the row it scored back by XOR with
+the flip mask.  Unit clauses are counted with their multiplicity, so
+repeated units keep their weight.  The transform works on the source's
+clause arrays (stored once, see ``formula``): a per-variable bool mask
+flips literals, and each use rebuilds the transformed formula as a derived
+formula, without re-validation, charged as one ``twosat`` pass.
 """
 
 from __future__ import annotations
@@ -99,10 +98,10 @@ class TwoSatStream:
         flat = f.lits.tolist()
         return [tuple(flat[a:b]) for a, b in pairwise(f.offsets.tolist())]
 
-    def flipped_vars(self) -> frozenset[int]:
-        lits = self.formula().lits  # one pass; the flipped variables come last
-        tail = int(self.units[self.flip].sum())
-        return frozenset(lits[lits.size - tail:].tolist())
+    def flipped_vars(self) -> np.ndarray:
+        """The mask ``flip`` the back-transform XORs in, charged one rebuild."""
+        self.formula()
+        return self.flip
 
 
 def to_two_satisfiable(formula: Formula) -> TwoSatStream:
@@ -161,9 +160,8 @@ def ls_solve(formula: Formula) -> SolveResult:
             m_prime = ts.formula().m
             with tracked(2):  # candidate coefficient pair
                 outcome = ls_search(ts)
-            flipped = ts.flipped_vars()
             phi = outcome.assignment
-            phi[[var - 1 for var in flipped]] ^= True  # back-transform, in place
+            phi ^= ts.flipped_vars()[1:]  # back-transform, in place
             count = eval_assignment(formula, phi)
     details = {"m_prime": m_prime, **outcome.details()}
     return SolveResult(assignment=phi, count=count, details=details, report=sc.report)

@@ -113,7 +113,7 @@ def test_criterion_2_expectation_bounds():
         n = rng.randint(2, 12)
         f = random_formula(rng, n, rng.randint(2 * n, 4 * n), 3, min_width=2)
         p = bias_profile(f)
-        fp = flipped_formula(f, p.neg_vars)
+        fp = flipped_formula(f, p.neg)
         pp = bias_profile(fp)
         if pp.b_star == 0 or pp.b_f * 3 > pp.scale * fp.m:
             continue

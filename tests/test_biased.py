@@ -2,8 +2,10 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from satmeter.biased import (
@@ -39,7 +41,7 @@ def test_bias_profile_example():
     assert p.b_f_fraction() == 1
     # b* = 4 * ((1 - 2/2)*2 + (1 - 3/4)*1) = 1
     assert p.b_star_fraction() == 1
-    assert p.neg_vars == frozenset({1})
+    assert p.neg.tolist() == [False, True, False]  # index 0 unused
 
 
 def test_bias_profile_positive_units():
@@ -51,7 +53,7 @@ def test_bias_profile_positive_units():
 
 def test_bias_profile_empty():
     p = bias_profile(Formula(n=2, clauses=()))
-    assert p.b_f == 0 and p.b_star == 0 and p.per_var == {1: 0, 2: 0}
+    assert p.b_f == 0 and p.b_star == 0 and p.per_var.tolist() == [0, 0, 0]
 
 
 def test_bias_profile_exact_vs_fraction_reference():
@@ -77,10 +79,11 @@ def test_bias_profile_exact_vs_fraction_reference():
 
 def test_positively_biased_formula_example():
     f = Formula(n=2, clauses=((1, 2), (-1,), (2,)))
-    assert clause_tuples(flipped_formula(f, frozenset({1}))) == ((-1, 2), (1,), (2,))
-    assert clause_tuples(flipped_formula(f, frozenset())) == clause_tuples(f)
+    x1 = np.array([False, True, False])
+    assert clause_tuples(flipped_formula(f, x1)) == ((-1, 2), (1,), (2,))
+    assert clause_tuples(flipped_formula(f, np.zeros(3, dtype=bool))) == clause_tuples(f)
     neg = Formula(n=1, clauses=((-1,),))
-    assert clause_tuples(flipped_formula(neg, frozenset({1}))) == ((1,),)
+    assert clause_tuples(flipped_formula(neg, x1[:2])) == ((1,),)
 
 
 def test_flipped_formula_is_positively_biased():
@@ -89,8 +92,8 @@ def test_flipped_formula_is_positively_biased():
         n = rng.randint(1, 8)
         f = random_formula(rng, n, rng.randint(1, 3 * n), min(3, n))
         p = bias_profile(f)
-        fp = flipped_formula(f, p.neg_vars)
-        assert all(v >= 0 for v in bias_profile(fp).per_var.values())
+        fp = flipped_formula(f, p.neg)
+        assert (bias_profile(fp).per_var >= 0).all()
         assert bias_profile(fp).b_f == p.b_f  # flips preserve |bias|
 
 
@@ -176,7 +179,7 @@ def test_chou_candidate_matches_exact_expectation_semantics():
         n = rng.randint(2, 6)
         f = random_formula(rng, n, rng.randint(2, 3 * n), 2)
         p = bias_profile(f)
-        fp = flipped_formula(f, p.neg_vars)
+        fp = flipped_formula(f, p.neg)
         pp = bias_profile(fp)
         if pp.b_f > pp.b_star or 2 * fp.m * pp.scale - 4 * pp.b_f <= 0:
             continue
@@ -186,3 +189,19 @@ def test_chou_candidate_matches_exact_expectation_semantics():
         assert expected_satisfied(fp, marginal) >= expectation_target(
             pp
         ) - Fraction(1, 1000)
+
+
+@pytest.mark.parametrize("solve", [bias_profile, chou_solve])
+def test_per_variable_data_stays_arrays(solve):
+    """At n = 2^20 with one clause, the bias profile and chou's
+    back-transform peak at under 48 bytes per variable: per-variable data
+    is held in arrays (a dict or set of n entries costs about 100)."""
+    n = 2**20
+    f = Formula.trusted(n, np.array([0, 1]), np.array([1]))
+    tracemalloc.start()
+    try:
+        solve(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * n, f"{peak / n:.1f} bytes per variable"

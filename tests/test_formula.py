@@ -505,7 +505,9 @@ def test_readers_match_tuple_reference(f, seed):
     want = [_reference_eval(f, {i + 1: int(v) for i, v in enumerate(row)}) for row in rows]
     assert packed.count_satisfied(rows).tolist() == want
     p = bias_profile(f)
-    assert (p.r, p.scale, p.per_var, p.b_f, p.b_star, p.histogram, p.neg_vars) == _reference_bias(f)
+    per_var = dict(enumerate(p.per_var.tolist()[1:], start=1))
+    neg_vars = frozenset(np.flatnonzero(p.neg).tolist())
+    assert (p.r, p.scale, per_var, p.b_f, p.b_star, p.histogram, neg_vars) == _reference_bias(f)
 
 
 @settings(max_examples=300, deadline=None)
@@ -516,10 +518,12 @@ def test_transforms_match_tuple_reference(f, seed):
     fprime, passes = _passes(ts.formula)
     assert (clause_tuples(fprime), passes) == (tuple(clauses), {"twosat": 1, "input": 2})
     assert fprime.r == max(map(len, clauses), default=0)
-    assert _passes(ts.flipped_vars) == (flip, {"twosat": 1, "input": 2})
+    mask, passes = _passes(ts.flipped_vars)
+    assert (frozenset(np.flatnonzero(mask).tolist()), passes) == (flip, {"twosat": 1, "input": 2})
     assert ts.clauses() == clauses
     neg_vars = frozenset(random.Random(seed).sample(range(1, f.n + 1), f.n // 2))
     flipped = [tuple(-lit if abs(lit) in neg_vars else lit for lit in c) for c in clause_tuples(f)]
-    fp, passes = _passes(lambda: flipped_formula(f, neg_vars))
+    neg = np.isin(np.arange(f.n + 1), sorted(neg_vars))
+    fp, passes = _passes(lambda: flipped_formula(f, neg))
     assert (fp.n, clause_tuples(fp), fp.r, passes) == (
         f.n, tuple(flipped), f.r, {"posbias": 1, "input": 1})

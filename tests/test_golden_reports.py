@@ -1,10 +1,10 @@
-"""Golden `satmeter solve` and `partition` reports: every field but
+"""Golden `satmeter solve`, `partition` and `bias` reports: every field but
 `timestamp` must match.
 
 ``golden_reports.json`` pins the assignment, count, search details and
 metered space (peak cells, pass counts) of a few small instances under every
-algorithm, and the partition check of one, so a refactor that moves any of
-them fails here.  When a change alters reports on purpose, regenerate the
+algorithm, the partition check of one and the bias profile of two, so a
+refactor that moves any of them fails here.  When a change alters reports on purpose, regenerate the
 file with ``PYTHONPATH=src python tests/test_golden_reports.py`` and say why.
 """
 
@@ -21,7 +21,7 @@ import pytest
 
 from conftest import random_formula, two_chains
 from satmeter.cli import main
-from satmeter.formula import serialize_dimacs
+from satmeter.formula import Formula, serialize_dimacs
 from satmeter.planar import gen_planar_instance
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
@@ -42,6 +42,10 @@ INSTANCES = {
     ),
     # at k = 5 the band keeps the dummy: one part holds clauses of both chains
     "chain12-twice": two_chains,
+    # m * 2^r >= 2^62: the bias profile leaves int64 for Python ints
+    "wide62-n64": lambda: Formula(
+        n=64, clauses=(tuple(-i for i in range(1, 63)), (-1, 2), (3,))
+    ),
 }
 
 CASES = [
@@ -55,6 +59,7 @@ CASES = [
     *(("random-n8-m16-r3", alg, None) for alg in ("ls", "chou")),
 ]
 PARTITION_CASES = [("chain12-twice", "5")]
+BIAS_CASES = ["random-n12-m40-r3", "wide62-n64"]
 
 
 def case_id(case) -> str:
@@ -64,6 +69,10 @@ def case_id(case) -> str:
 def partition_case_id(case) -> str:
     name, k = case
     return f"{name} partition --k {k}"
+
+
+def bias_case_id(name: str) -> str:
+    return f"{name} bias"
 
 
 def cli_report(name: str, args: list[str], workdir: Path) -> dict:
@@ -90,6 +99,10 @@ def partition_report(case, workdir: Path) -> dict:
     return cli_report(name, ["partition", "--k", k], workdir)
 
 
+def bias_report(name: str, workdir: Path) -> dict:
+    return cli_report(name, ["bias"], workdir)
+
+
 def assert_golden(key: str, report: dict) -> None:
     golden = json.loads(GOLDEN.read_text())
     assert json.dumps(report, sort_keys=True) == json.dumps(golden[key], sort_keys=True)
@@ -105,9 +118,15 @@ def test_partition_report_matches_golden(case, tmp_path):
     assert_golden(partition_case_id(case), partition_report(case, tmp_path))
 
 
+@pytest.mark.parametrize("name", BIAS_CASES, ids=bias_case_id)
+def test_bias_report_matches_golden(name, tmp_path):
+    assert_golden(bias_case_id(name), bias_report(name, tmp_path))
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         reports = {case_id(c): solve_report(c, Path(tmp)) for c in CASES}
         reports |= {partition_case_id(c): partition_report(c, Path(tmp))
                     for c in PARTITION_CASES}
+        reports |= {bias_case_id(c): bias_report(c, Path(tmp)) for c in BIAS_CASES}
     GOLDEN.write_text(json.dumps(reports, sort_keys=True, indent=1) + "\n")
