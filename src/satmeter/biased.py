@@ -145,13 +145,9 @@ def chou_search(fprime: Formula, profile: BiasProfile) -> SearchOutcome:
     slack = Fraction(m * r, 2 * q)
     target = expectation_target(profile)
     threshold = math.ceil(target - slack)
-
-    def accept(counts: np.ndarray) -> np.ndarray:
-        return counts >= threshold
-
     spec = HashFamilySpec(n=n, k=k, a=t, b=q, q=q)
     desc = f"c >= ceil({float(target):.4f} - {float(slack):.4f}) = {threshold}"
-    return family_search(spec, fprime, accept, desc, "posbias")
+    return family_search(spec, fprime, threshold, desc, "posbias")
 
 
 def chou_solve(formula: Formula) -> SolveResult:
@@ -180,8 +176,8 @@ def chou_solve(formula: Formula) -> SolveResult:
             count = eval_assignment(formula, phi)
     details = {
         "branch": branch,
-        "b_f": str(profile.b_f_fraction()),
-        "b_star": str(profile.b_star_fraction()),
+        "b_f": profile.b_f_fraction(),  # exact; the report prints it by str
+        "b_star": profile.b_star_fraction(),
         "neg_vars": np.flatnonzero(profile.neg).tolist(),
     }
     if outcome is not None:

@@ -1,7 +1,8 @@
 """Batch front door: parse, solve, partition, audit; JSON reports out.
 
-Exit codes: 0 success, 2 input error (n above ``formula.MAX_VARS``, or over
-the oracle's variable cap, is one), 3 internal invariant violation.
+Exit codes: 0 success, 2 input error (n above ``formula.MAX_VARS``, a
+padded clause layout over ``formula.PACK_CELL_CAP``, or n over the oracle's
+variable cap, is one), 3 internal invariant violation.
 Reports are deterministic for fixed inputs apart from the timestamp field
 and the `oracle` command's runtime_seconds.
 """
@@ -78,8 +79,24 @@ def _base_report(formula: fm.Formula) -> dict:
     }
 
 
+def _in_full(convert, *args, **kwargs):
+    """``convert(*args, **kwargs)`` with Python's int/str digit limit lifted,
+    so exact integers (2^r scales, q^k family sizes) convert in full; parsing
+    keeps the limit.  Interpreters before 3.10.7 have no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return convert(*args, **kwargs)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, default=str) + "\n")
+    """Write ``report`` as one JSON line, exact numbers (``Fraction``s by
+    ``str``) in full."""
+    sys.stdout.write(_in_full(json.dumps, report, sort_keys=True, default=str) + "\n")
 
 
 def _solve_report(formula: fm.Formula, algorithm: str, result: SolveResult,
@@ -145,9 +162,9 @@ def cmd_bias(args) -> int:
         "scale": profile.scale,
         "per_var_scaled": {str(i): v for i, v in enumerate(profile.per_var.tolist()) if i},
         "b_f_scaled": profile.b_f,
-        "b_f": str(profile.b_f_fraction()),
+        "b_f": profile.b_f_fraction(),
         "b_star_scaled": profile.b_star,
-        "b_star": str(profile.b_star_fraction()),
+        "b_star": profile.b_star_fraction(),
         "histogram": {str(w): c for w, c in sorted(profile.histogram.items())},
         "neg_vars": np.flatnonzero(profile.neg).tolist(),
     }
@@ -313,7 +330,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, orc.OracleCapError) as exc:
+    except (InputError, orc.OracleCapError, fm.PackCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ZeroDivisionError, AssertionError) as exc:

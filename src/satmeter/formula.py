@@ -385,6 +385,15 @@ def components(starts, neighbors, allowed=None):
             yield tree
 
 
+# cells of the (m, max width) layout ``pack_clauses`` pads the clauses to:
+# 2^24 is 128 MiB per int64 array, and packing holds about three at once
+PACK_CELL_CAP = 1 << 24
+
+
+class PackCapError(ValueError):
+    """Raised when the padded clause layout would exceed ``PACK_CELL_CAP``."""
+
+
 @dataclass(frozen=True)
 class PackedClauses:
     """Numpy layout for batched clause evaluation.
@@ -406,7 +415,14 @@ class PackedClauses:
 
 
 def pack_clauses(formula: Formula) -> PackedClauses:
+    """The padded layout, checked against ``PACK_CELL_CAP`` before any
+    (m, width) array is allocated."""
     widths, offsets = formula.widths, formula.offsets
     slots = np.arange(int(widths.max()) if widths.size else 1)
+    if formula.m * slots.size > PACK_CELL_CAP:
+        raise PackCapError(
+            f"{formula.m} clauses padded to width {slots.size} exceed "
+            f"pack cap {PACK_CELL_CAP} cells"
+        )
     lits = formula.lits[offsets[:-1, None] + np.minimum(slots, widths[:, None] - 1)]
     return PackedClauses(var_idx=np.abs(lits) - 1, negated=lits < 0)

@@ -8,15 +8,17 @@ marginal a/b to within 1/(2q).
 
 ``family_search`` is the derandomized search both the 0.618 and the
 sqrt(2)/2 solvers run: walk the family in enumeration order and stop at the
-first candidate whose satisfied-clause count passes the solver's test.  It
-returns that candidate's bit row, so ``batch_assignments`` is the one
-evaluator of the polynomial.
+first candidate whose satisfied-clause count reaches the solver's integer
+bound.  The walk is flat: the block of candidates sharing their non-constant
+coefficients is found from its index by base-q digits.  The search returns
+the bit row it scored, so ``batch_assignments`` is the one evaluator of the
+polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -95,17 +97,6 @@ def field_size_for(n: int, b: int, m: int, r: int) -> int:
     return smallest_prime_geq(max(n, b, 20 * m * r, 2))
 
 
-def _tuples(q: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All ``length``-tuples over range(q), lexicographic, made as consumed
-    (``itertools.product`` would first copy range(q), q entries)."""
-    if length == 0:
-        yield ()
-        return
-    for head in _tuples(q, length - 1):
-        for c in range(q):
-            yield head + (c,)
-
-
 def batch_assignments(
     spec: HashFamilySpec,
     high_coeffs: tuple[int, ...],
@@ -146,11 +137,18 @@ def _candidate_chunks(spec: HashFamilySpec, row_cells: int) -> Iterator[np.ndarr
     carried across blocks, so an early hit evaluates few rows and neither
     the candidate matrices nor a caller's per-row work on them (the
     ``(rows, m, width)`` literal copy of ``count_satisfied``) grows past
-    about ``CHUNK_CELLS`` cells.
+    about ``CHUNK_CELLS`` cells.  Block i holds the functions whose k - 1
+    leading coefficients are the base-q digits of i, most significant
+    first, so blocks come in lexicographic order, each found in O(k) steps.
     """
     max_chunk = max(1, CHUNK_CELLS // max(spec.n, row_cells))
     chunk = 1
-    for high in _tuples(spec.q, spec.k - 1):
+    for block in range(spec.q ** (spec.k - 1)):
+        digits, rest = [], block
+        for _ in range(spec.k - 1):
+            rest, digit = divmod(rest, spec.q)
+            digits.append(digit)
+        high = tuple(reversed(digits))
         c0 = 0
         while c0 < spec.q:
             stop = min(c0 + chunk, spec.q)
@@ -186,16 +184,16 @@ class SearchOutcome:
 def family_search(
     spec: HashFamilySpec,
     formula: Formula,
-    accept: Callable[[np.ndarray], np.ndarray],
+    need: int,
     threshold_desc: str,
     pass_label: str,
 ) -> SearchOutcome:
-    """First candidate in enumeration order that ``accept`` passes.
+    """First candidate in enumeration order that satisfies at least ``need``
+    clauses of ``formula``, the solver's integer bound.
 
-    ``accept(counts) -> bool mask`` tests each candidate's satisfied-clause
-    count on ``formula``.  If none passes before the family ends or the scan
-    reaches ``SCAN_CAP`` (checked after each chunk), the first maximum over
-    the scanned candidates is returned with ``fallback`` set.  Every scanned
+    If none does before the family ends or the scan reaches ``SCAN_CAP``
+    (checked after each chunk), the first maximum over the scanned
+    candidates is returned with ``fallback`` set.  Every scanned
     candidate is charged one ``pass_label`` pass: the space model rebuilds
     ``formula`` for each candidate it scores.
     """
@@ -204,7 +202,7 @@ def family_search(
     scanned = 0  # also the family index of the chunk's first row
     for bits in _candidate_chunks(spec, packed.var_idx.size):
         counts = packed.count_satisfied(bits)
-        hits = np.flatnonzero(accept(counts))
+        hits = np.flatnonzero(counts >= need)
         row = int(hits[0]) if hits.size else int(np.argmax(counts))
         if hits.size or counts[row] > best_count:
             best_count, best_index = int(counts[row]), scanned + row

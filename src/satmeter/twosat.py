@@ -8,8 +8,8 @@ the transformed clauses, and translate the row it scored back by XOR with
 the flip mask.  Unit clauses are counted with their multiplicity, so
 repeated units keep their weight.  The transform works on the source's
 clause arrays (stored once, see ``formula``): a per-variable bool mask
-flips literals, and each use rebuilds the transformed formula as a derived
-formula, without re-validation, charged as one ``twosat`` pass.
+flips literals, and the transformed formula is built once, without
+re-validation; each use is still charged the re-stream the space model makes.
 """
 
 from __future__ import annotations
@@ -67,45 +67,38 @@ def half_approx(formula: Formula) -> SolveResult:
 
 @dataclass(frozen=True, eq=False)
 class TwoSatStream:
-    """The 2-satisfiable transform of ``source``, rebuilt on every use.
+    """A formula's 2-satisfiable transform, built once.
 
-    ``formula()`` recomputes the transformed formula from ``source`` and its
-    sign mask ``flip``: wide clauses, then the units of the unflipped
+    ``formula`` holds the wide clauses, then the units of the unflipped
     variables, then the units (x_i) of the flipped variables, whose values
-    the back-transform must invert (``flipped_vars``); variable i's unit
-    appears ``units[i]`` times.  Each rebuild charges one ``twosat`` and two
-    ``input`` passes.
+    the back-transform must invert (``flipped_vars``).  The space model
+    keeps no copy of it, so each use charges the re-stream it stands for
+    (``_restream``).
     """
 
-    source: Formula
-    units: np.ndarray  # per variable (index 0 unused): copies of its unit (x_i)
+    formula: Formula
     flip: np.ndarray  # per variable: more negative than positive units
 
-    def formula(self) -> Formula:
-        """One pass: the transformed formula, the flipped variables' units last."""
-        note_pass("twosat")
-        note_pass("input", 2)  # unit-occurrence prepass + clause pass
-        f = self.source
-        wide = f.lits[np.repeat(f.widths >= 2, f.widths)]
-        order = np.concatenate((np.flatnonzero(~self.flip), np.flatnonzero(self.flip)))
-        units = np.repeat(order, self.units[order])
-        widths = np.concatenate((f.widths[f.widths >= 2], np.ones_like(units)))
-        lits = np.concatenate((np.where(self.flip[np.abs(wide)], -wide, wide), units))
-        return Formula.trusted(f.n, csr_offsets(widths), lits)
-
     def clauses(self) -> list[tuple[int, ...]]:
-        f = self.formula()
-        flat = f.lits.tolist()
-        return [tuple(flat[a:b]) for a, b in pairwise(f.offsets.tolist())]
+        _restream()
+        flat = self.formula.lits.tolist()
+        return [tuple(flat[a:b]) for a, b in pairwise(self.formula.offsets.tolist())]
 
     def flipped_vars(self) -> np.ndarray:
-        """The mask ``flip`` the back-transform XORs in, charged one rebuild."""
-        self.formula()
+        """The mask ``flip`` the back-transform XORs in, charged one re-stream."""
+        _restream()
         return self.flip
 
 
+def _restream() -> None:
+    """Charge one ``twosat`` and two ``input`` passes (unit prepass + clauses)."""
+    note_pass("twosat")
+    note_pass("input", 2)
+
+
 def to_two_satisfiable(formula: Formula) -> TwoSatStream:
-    """Transform into a 2-satisfiable formula with all units positive.
+    """Transform into a 2-satisfiable formula with all units positive; one
+    re-stream is charged for the build.
 
     With p positive and q negative unit clauses on x_i, the variable is
     flipped iff q > p, and its majority unit (x_i after the flip) is emitted
@@ -119,16 +112,25 @@ def to_two_satisfiable(formula: Formula) -> TwoSatStream:
     back-transform, m' = m - sum(min(p, q) + d) and OPT <= m - sum(min(p, q)),
     so count > 0.618 m' gives count >= 0.618 OPT (Lieberherr-Specker 1981).
     """
-    units = formula.lits[formula.offsets[:-1][formula.widths == 1]]
+    _restream()
+    widths, lits = formula.widths, formula.lits
+    units = lits[formula.offsets[:-1][widths == 1]]
     p = np.bincount(units[units > 0], minlength=formula.n + 1)
     q = np.bincount(-units[units < 0], minlength=formula.n + 1)
-    emit = np.abs(p - q) + (np.minimum(p, q) >= 1)
-    return TwoSatStream(source=formula, units=emit, flip=q > p)
+    flip = q > p
+    order = np.concatenate((np.flatnonzero(~flip), np.flatnonzero(flip)))
+    units = np.repeat(order, (np.abs(p - q) + (np.minimum(p, q) >= 1))[order])
+    wide = lits[np.repeat(widths >= 2, widths)]
+    lits = np.concatenate((np.where(flip[np.abs(wide)], -wide, wide), units))
+    widths = np.concatenate((widths[widths >= 2], np.ones_like(units)))
+    transformed = Formula.trusted(formula.n, csr_offsets(widths), lits)
+    return TwoSatStream(formula=transformed, flip=flip)
 
 
 def ls_search(ts: TwoSatStream) -> SearchOutcome:
     """Search Univ(n, 2, 618, 1000) for a candidate with c > 0.618 m'."""
-    formula = ts.formula()
+    _restream()
+    formula = ts.formula
     m_prime, n = formula.m, formula.n
 
     if m_prime == 0 or n == 0:
@@ -143,12 +145,9 @@ def ls_search(ts: TwoSatStream) -> SearchOutcome:
 
     q = field_size_for(n, LS_DEN, m_prime, formula.r)
     spec = HashFamilySpec(n=n, k=2, a=LS_NUM, b=LS_DEN, q=q)
-
-    def accept(counts: np.ndarray) -> np.ndarray:
-        return counts * LS_DEN > LS_NUM * m_prime
-
+    need = LS_NUM * m_prime // LS_DEN + 1  # the least c with c * 1000 > 618 m'
     return family_search(
-        spec, formula, accept, f"c > {LS_NUM}/{LS_DEN} * {m_prime}", "twosat"
+        spec, formula, need, f"c > {LS_NUM}/{LS_DEN} * {m_prime}", "twosat"
     )
 
 
@@ -157,7 +156,7 @@ def ls_solve(formula: Formula) -> SolveResult:
     with meter_scope("ls_solve") as sc:
         with tracked(12):  # m', thresholds, best count/index, loop registers
             ts = to_two_satisfiable(formula)
-            m_prime = ts.formula().m
+            m_prime = ts.formula.m
             with tracked(2):  # candidate coefficient pair
                 outcome = ls_search(ts)
             phi = outcome.assignment

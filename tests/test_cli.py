@@ -8,12 +8,15 @@ import resource
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import satmeter
 from satmeter import cli
+from satmeter import formula as fm
 from satmeter import oracle as orc
 from satmeter.cli import _instance_id, main
 from satmeter.formula import MAX_VARS, parse_dimacs, serialize_dimacs
@@ -334,3 +337,56 @@ def test_partition_at_the_variable_cap_exits_0(tmp_path):
     cap = tmp_path / "cap.cnf"
     cap.write_text(f"p cnf {MAX_VARS} 1\n1 0\n")
     assert _exit_codes_within_1gb([["partition", "--k", "3", str(cap)]]) == [0]
+
+
+def _dimacs(path, n, clauses):
+    path.write_text(f"p cnf {n} {len(clauses)}\n"
+                    + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses))
+    return str(path)
+
+
+def test_chou_walks_a_1200_wise_family(capsys, tmp_path):
+    # one 1,200-literal clause and the equivalences x_i = x_{i+1}, i odd:
+    # chou searches a family with k = 1,200, whose block walk must not
+    # recurse, and q^k has far more than 4,300 digits
+    pairs = [c for i in range(1, 1200, 2) for c in ((i, -(i + 1)), (-i, i + 1))]
+    path = _dimacs(tmp_path / "wide1200.cnf", 1200, [tuple(range(1, 1201)), *pairs])
+    assert main(["solve", "--alg", "chou", path]) == 0
+    details = cli._in_full(json.loads, capsys.readouterr().out)["details"]
+    assert details["branch"] == "family-search" and not details["fallback"]
+    assert details["family_size"] == details["q"] ** 1200
+
+
+def test_exact_integers_print_in_full(capsys, tmp_path):
+    # the bias profile's scale is 2^15000; b_F = 2 (2^14999 - 1) + 14998
+    path = _dimacs(tmp_path / "wide15000.cnf", 15000, [tuple(range(1, 15001)), (-1,), (-2,)])
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    reports = {}
+    for argv in (["bias"], ["solve", "--alg", "chou"], ["solve", "--alg", "ls"],
+                 ["solve", "--alg", "half"]):
+        assert main([*argv, path]) == 0, argv
+        reports[argv[-1]] = cli._in_full(json.loads, capsys.readouterr().out)
+    bias = reports["bias"]["bias"]
+    b_f = (1 << 15000) + 14996
+    assert (bias["scale"], bias["b_f_scaled"]) == (1 << 15000, b_f)
+    assert cli._in_full(Fraction, bias["b_f"]) == Fraction(b_f, 1 << 15000)
+    assert reports["chou"]["details"]["b_f"] == bias["b_f"]
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    # parsing keeps the limit: a 5,000-digit token is still a bad token
+    token = tmp_path / "token.cnf"
+    token.write_text("p cnf 2 1\n" + "1" * 5000 + " 0\n")
+    assert main(["solve", "--alg", "half", str(token)]) == 2
+    assert "error: bad token" in capsys.readouterr().err
+
+
+def test_pack_cap_exits_2(capsys, tmp_path, tri_path):
+    # the padded (m, max width) layout is checked before it is allocated
+    with mock.patch.object(fm, "PACK_CELL_CAP", 5):
+        assert main(["solve", "--alg", "ls", tri_path]) == 2
+    assert "error: 3 clauses padded to width 2 exceed pack cap 5 cells" in capsys.readouterr().err
+    # 12,001 clauses padded to width 12,000 would take 1.07 GiB per int64
+    # array; half and chou (the b_F > b* branch) never pack them
+    clauses = [tuple(range(1, 12001))] + [(-i,) for i in range(1, 12001)]
+    path = _dimacs(tmp_path / "wide12000.cnf", 12000, clauses)
+    cases = [["solve", "--alg", alg, path] for alg in ("ls", "half", "chou")]
+    assert _exit_codes_within_1gb(cases) == [2, 0, 0]

@@ -514,8 +514,8 @@ def test_readers_match_tuple_reference(f, seed):
 @given(formulas_with_duplicates(), st.integers(0, 2**30))
 def test_transforms_match_tuple_reference(f, seed):
     clauses, flip = _reference_two_sat(f)
-    ts = to_two_satisfiable(f)
-    fprime, passes = _passes(ts.formula)
+    ts, passes = _passes(lambda: to_two_satisfiable(f))
+    fprime = ts.formula
     assert (clause_tuples(fprime), passes) == (tuple(clauses), {"twosat": 1, "input": 2})
     assert fprime.r == max(map(len, clauses), default=0)
     mask, passes = _passes(ts.flipped_vars)

@@ -196,7 +196,7 @@ def test_family_search_matches_plain_scan(q, k, scan_cap, seed):
     threshold = rng.randint(0, formula.m + 1)  # m + 1 accepts nothing
 
     with meter_scope("search") as sc, mock.patch.object(hashfam, "SCAN_CAP", scan_cap):
-        out = family_search(spec, formula, lambda c: c >= threshold, "test", "clauses")
+        out = family_search(spec, formula, threshold, "test", "clauses")
     rows = [assignment_from_hash(f, n) for f in enum_family(spec)]
     counts = [eval_assignment(formula, row) for row in rows]
     first = next((i for i, c in enumerate(counts) if c >= threshold), None)

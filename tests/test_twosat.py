@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -98,7 +99,7 @@ def test_transform_count_conservation_on_pair_free_formulas():
             continue
         checked += 1
         ts = to_two_satisfiable(f)
-        fprime = ts.formula()
+        fprime = ts.formula
         flipped = ts.flipped_vars()
         for _ in range(5):
             phi_prime = [rng.randint(0, 1) for _ in range(n)]
@@ -121,7 +122,7 @@ def test_transform_unit_multiplicity_identity(f, bits):
     count_F(phi' ^ flip) >= count_T(phi') + sum d, with equality when phi'
     is 1 on every variable that has units."""
     ts = to_two_satisfiable(f)
-    fprime = ts.formula()
+    fprime = ts.formula
     units = [c[0] for c in clause_tuples(f) if len(c) == 1]
     p = np.array([units.count(v) for v in range(1, f.n + 1)], dtype=int)
     q = np.array([units.count(-v) for v in range(1, f.n + 1)], dtype=int)
@@ -139,7 +140,7 @@ def test_ls_search_spec_example():
     outcome = ls_search(ts)
     assert not outcome.fallback
     assert outcome.count >= 2  # 0.618 * 3 = 1.854
-    assert eval_assignment(ts.formula(), outcome.assignment) == outcome.count
+    assert eval_assignment(ts.formula, outcome.assignment) == outcome.count
 
 
 def test_ls_search_empty_and_tiny():
@@ -149,6 +150,18 @@ def test_ls_search_empty_and_tiny():
     outcome = ls_search(to_two_satisfiable(single))
     assert outcome.count == 1
     assert outcome.assignment.tolist() == [True]
+
+
+def test_ls_solve_builds_the_transform_once():
+    # the all-negative triangle makes the search scan 625 candidates; the
+    # build, the search and the back-transform are each still charged one
+    # re-stream of the transformed formula, which is built once
+    f = Formula(n=3, clauses=((-1, -2), (-2, -3), (-1, -3), (1,)))
+    with mock.patch.object(Formula, "trusted", side_effect=Formula.trusted) as built:
+        res = ls_solve(f)
+    assert built.call_count == 1
+    assert res.details["family_index"] == 624
+    assert res.report.pass_counts == {"twosat": 3 + 625, "input": 6}
 
 
 def test_ls_solve_examples():
