@@ -1,8 +1,9 @@
 """Batch front door: parse, solve, partition, audit; JSON reports out.
 
 Exit codes: 0 success, 2 input error (n above ``formula.MAX_VARS``, a
-padded clause layout over ``formula.PACK_CELL_CAP``, or n over the oracle's
-variable cap, is one), 3 internal invariant violation.
+padded clause layout over ``formula.PACK_CELL_CAP``, n over the oracle's
+variable cap, or a DP plan over ``treedp.PATTERN_CAP`` extension patterns,
+is one), 3 internal invariant violation.
 Reports are deterministic for fixed inputs apart from the timestamp field
 and the `oracle` command's runtime_seconds.
 """
@@ -24,7 +25,7 @@ from satmeter import oracle as orc
 from satmeter.biased import bias_profile, chou_solve
 from satmeter.hashfam import HashFamilySpec, _candidate_chunks, smallest_prime_geq
 from satmeter.planar import gen_planar_instance, partition, verify_partition
-from satmeter.treedp import planar_ptas
+from satmeter.treedp import PatternCapError, planar_ptas
 from satmeter.twosat import SolveResult, half_approx, ls_solve
 
 SCHEMA_VERSION = 1
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, orc.OracleCapError, fm.PackCapError) as exc:
+    except (InputError, orc.OracleCapError, fm.PackCapError, PatternCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ZeroDivisionError, AssertionError) as exc:

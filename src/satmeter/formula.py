@@ -10,8 +10,10 @@ re-validation.  DIMACS text is tokenized on its bytes by numpy where the
 clause section holds only digits, '-' and ASCII blanks, and read line by
 line otherwise.  An assignment is a bool vector of length n, x_i at
 index i - 1, from every solver to the report.  The incidence graph is a
-plain adjacency dict over ``("x", i)`` and ``("C", j)`` vertices, the
-mapping ``bfs_tree`` walks; a variable that occurs in no clause is not in it.
+plain adjacency dict over int vertex ids, the mapping ``bfs_tree`` walks:
+clause j is vertex j - 1 and x_i is vertex m + i, so ascending ids list the
+clauses, then the variables, each by index; a variable that occurs in no
+clause is not in it.
 """
 
 from __future__ import annotations
@@ -332,26 +334,21 @@ def clause_histogram(formula: Formula) -> dict[int, int]:
     return dict(zip(widths.tolist(), counts.tolist()))
 
 
-# Incidence-graph vertices: ("x", i) for variables, ("C", j) for clauses
-# (j is the 1-based clause index, so duplicate clauses get distinct vertices).
-Vertex = tuple[str, int]
-
-
-def incidence_graph(formula: Formula) -> dict[Vertex, list[Vertex]]:
+def incidence_graph(formula: Formula) -> dict[int, list[int]]:
     """Bipartite variable-clause incidence graph as an adjacency dict.
 
-    The variables that occur in some clause are keys, ascending, then every
-    clause; a declared variable that occurs nowhere is not a vertex.  A
-    clause lists its variables in literal order; a variable lists its
-    clauses in index order.
+    Clause j (1-based, so duplicate clauses get distinct vertices) is
+    vertex j - 1 and x_i is vertex m + i.  The variables that occur in
+    some clause are keys, ascending, then every clause; a declared
+    variable that occurs nowhere is not a vertex.  A clause lists its
+    variables in literal order; a variable lists its clauses in index order.
     """
-    var = [abs(lit) for lit in formula.lits.tolist()]
-    graph: dict[Vertex, list[Vertex]] = {("x", i): [] for i in sorted(set(var))}
-    for j, (a, b) in enumerate(pairwise(formula.offsets.tolist()), start=1):
-        cv = ("C", j)
-        graph[cv] = [("x", i) for i in var[a:b]]
-        for xv in graph[cv]:
-            graph[xv].append(cv)
+    var = [formula.m + abs(lit) for lit in formula.lits.tolist()]
+    graph: dict[int, list[int]] = {v: [] for v in sorted(set(var))}
+    for c, (a, b) in enumerate(pairwise(formula.offsets.tolist())):
+        graph[c] = var[a:b]
+        for v in graph[c]:
+            graph[v].append(c)
     return graph
 
 

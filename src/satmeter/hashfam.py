@@ -115,7 +115,8 @@ def batch_assignments(
     q, n, t = spec.q, spec.n, spec.threshold
     points = np.arange(1, n + 1, dtype=np.int64)
     acc = np.zeros(n, dtype=np.int64)
-    for c in high_coeffs:
+    lead = next((i for i, c in enumerate(high_coeffs) if c), len(high_coeffs))
+    for c in high_coeffs[lead:]:  # leading zeros leave acc at 0
         acc = (acc * points + c) % q
     acc = (acc * points) % q  # still missing the constant term
     c0 = np.arange(c0_start, c0_stop, dtype=np.int64)

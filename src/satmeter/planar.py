@@ -8,9 +8,11 @@ variable-disjoint subformulas.  Each clause level lands in exactly two
 triples, so the residue classes together count every clause twice and the
 cheapest one loses at most 2m/k clauses.
 
-After the BFS the partition's only state is the level map, vertex -> level.
-Level L lies in triples floor(L/2) and floor((L-1)/2), so the band is a test
-on a vertex's level: one of those two is in the chosen residue class mod k.
+After the BFS the partition's only state is the level map, vertex id ->
+level; clause j is j - 1, x_i is m + i, the dummy's clause m, and the ids
+below m are the formula's clauses.  Level L lies in triples floor(L/2) and
+floor((L-1)/2), so the band is a test on a vertex's level: one of those
+two is in the chosen residue class mod k.
 """
 
 from __future__ import annotations
@@ -19,19 +21,19 @@ import math
 import random
 from dataclasses import asdict, dataclass
 
-from satmeter.formula import Formula, Vertex, bfs_tree, components, incidence_graph
+from satmeter.formula import Formula, bfs_tree, components, incidence_graph
 from satmeter.metering import meter_scope, note_pass, tracked
 
 
-def connect_with_dummy(formula: Formula) -> dict[Vertex, list[Vertex]]:
+def connect_with_dummy(formula: Formula) -> dict[int, list[int]]:
     """Add a dummy variable adjacent to one clause per connected component.
 
-    Only the incidence graph changes: it gains the dummy variable
-    ("x", n + 1), the vertex ("C", m + 1) of its unit clause (-dummy) and
-    the dummy edges.  Variable-only components have no clauses to lose or
-    keep and stay unconnected.
+    Only the incidence graph changes: it gains the dummy variable x_{n+1}
+    (vertex m + n + 1), the vertex m of its unit clause (-dummy) and the
+    dummy edges.  A variable in no clause is no vertex, so the dummy then
+    reaches every vertex.
     """
-    dummy_vertex, dummy_clause = ("x", formula.n + 1), ("C", formula.m + 1)
+    dummy_clause, dummy_vertex = formula.m, formula.m + formula.n + 1
     graph = incidence_graph(formula)
     graph[dummy_vertex] = [dummy_clause]
     graph[dummy_clause] = [dummy_vertex]
@@ -39,15 +41,15 @@ def connect_with_dummy(formula: Formula) -> dict[Vertex, list[Vertex]]:
     # one representative clause per connected component of the original
     # graph: the lowest-indexed clause, the start of its component's walk;
     # it gains its dummy edge only after that walk
-    for tree in components([("C", j) for j in range(1, formula.m + 1)], graph):
+    for tree in components(range(formula.m), graph):
         rep = next(iter(tree))
         graph[dummy_vertex].append(rep)
         graph[rep].append(dummy_vertex)
     return graph
 
 
-def bfs_levels(graph: dict[Vertex, list[Vertex]], root: Vertex,
-               num_vertices: int) -> dict[Vertex, int]:
+def bfs_levels(graph: dict[int, list[int]], root: int,
+               num_vertices: int) -> dict[int, int]:
     """1-based BFS levels of the incidence graph from `root`.
 
     Stands in for a sublinear-space planar BFS with the same output
@@ -59,18 +61,16 @@ def bfs_levels(graph: dict[Vertex, list[Vertex]], root: Vertex,
     contract_cells = math.isqrt(num_vertices - 1) + 1
     contract_cells *= max(1, math.ceil(math.log2(num_vertices)))
     with meter_scope("bfs"), tracked(contract_cells):
-        level_of: dict[Vertex, int] = {}
+        level_of: dict[int, int] = {}
         for v, p in bfs_tree(root, graph).items():
             level_of[v] = 1 if v == p else level_of[p] + 1
-    unreachable = [v for v in graph if v[0] == "C" and v not in level_of]
-    if unreachable:
-        raise ValueError(f"graph not connected: clause vertex {unreachable[0]} "
-                         "unreachable from root")
+    if unreachable := [v for v in graph if v not in level_of]:
+        raise ValueError(f"graph not connected: vertex {unreachable[0]} unreachable from root")
     return level_of
 
 
 def choose_deletion_band(
-    level_of: dict[Vertex, int], k: int, skip_clause: int | None = None
+    level_of: dict[int, int], k: int, m: int
 ) -> tuple[int, tuple[int, ...]]:
     """Pick the residue class of triples with the fewest clause vertices.
 
@@ -78,24 +78,21 @@ def choose_deletion_band(
     head and tail segments stay within 2k-3 levels.  Returns the chosen
     residue and |C(W_i)| for the first min(k, d/2 + 2) residues: every later
     residue is empty (loss 0) and residue d/2 + 1 already stands for all of
-    them.  ``skip_clause`` (the dummy clause index) is excluded from the
-    counts so the 2m/k loss bound is relative to the original clause count.
+    them.  Only the formula's clauses, the ids below ``m``, are counted, so
+    the 2m/k loss bound is relative to the original clause count.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    clauses_at: dict[int, int] = {}  # level -> clause vertices on it
-    for v, lvl in level_of.items():
-        if v[0] == "C" and v[1] != skip_clause:
-            clauses_at[lvl] = clauses_at.get(lvl, 0) + 1
     d = max(level_of.values())
     d += d % 2
 
     losses = [0] * min(k, d // 2 + 2)
     with tracked(2 * len(losses) + 4):  # per-residue counters plus loop registers
         note_pass("bfs", len(losses))
-        for lvl, count in clauses_at.items():  # clause levels are even
-            losses[(lvl // 2 - 1) % k] += count
-            losses[(lvl // 2) % k] += count
+        for v, lvl in level_of.items():
+            if v < m:  # clause levels are even
+                losses[(lvl // 2 - 1) % k] += 1
+                losses[(lvl // 2) % k] += 1
         chosen = min(range(len(losses)), key=lambda i: (losses[i], i))
     return chosen, tuple(losses)
 
@@ -104,7 +101,7 @@ def choose_deletion_band(
 class PartitionResult:
     parts: tuple[Formula, ...]
     part_clause_indices: tuple[tuple[int, ...], ...]  # 1-based into source
-    level_of: dict[Vertex, int]  # BFS level from the dummy variable
+    level_of: dict[int, int]  # BFS level from the dummy variable, by vertex id
     chosen_i: int  # the deleted residue class of triples
     residue_losses: tuple[int, ...]
 
@@ -125,11 +122,11 @@ def partition(formula: Formula, k: int) -> PartitionResult:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    dummy_clause = formula.m + 1
+    m = formula.m
     with meter_scope("partition"):
         graph = connect_with_dummy(formula)
-        level_of = bfs_levels(graph, ("x", formula.n + 1), formula.n + formula.m + 2)
-        chosen, losses = choose_deletion_band(level_of, k, skip_clause=dummy_clause)
+        level_of = bfs_levels(graph, m + formula.n + 1, formula.n + m + 2)
+        chosen, losses = choose_deletion_band(level_of, k, m)
         # keep level L unless triple floor(L/2) or floor((L-1)/2) is deleted
         kept = {
             v for v, lvl in level_of.items()
@@ -137,10 +134,9 @@ def partition(formula: Formula, k: int) -> PartitionResult:
         }
         note_pass("bfs", 2)  # band filter pass + component pass
 
-        starts = [("C", j) for j in range(1, formula.m + 1)]
         part_indices = [
-            tuple(sorted(v[1] for v in comp if v[0] == "C" and v[1] != dummy_clause))
-            for comp in components(starts, graph, allowed=kept)
+            tuple(sorted(v + 1 for v in comp if v < m))
+            for comp in components(range(m), graph, allowed=kept)
         ]
         parts = formula.subsets([[i - 1 for i in ids] for ids in part_indices])
 
@@ -190,8 +186,8 @@ def verify_partition(
         for var in variables:
             if owner.setdefault(var, idx) != idx:
                 witness = var
-        lvls = [level_of[("C", j)] for j in clause_ids]
-        lvls += [level_of[("x", v)] for v in variables]
+        lvls = [level_of[j - 1] for j in clause_ids]
+        lvls += [level_of[formula.m + v] for v in variables]
         max_span = max(max_span, max(lvls) - min(lvls) + 1)
     disjoint = witness is None
     span_ok = max_span <= max(2 * k - 3, 1)

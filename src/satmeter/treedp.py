@@ -7,7 +7,8 @@
 logarithmic depth with bag size at most tripled, and ``bdtw_maxsat``
 recursively enumerates bag-variable extensions to compute an exact optimum
 with a witnessing assignment.  The PTAS driver stitches these together over
-the band partition.
+the band partition.  A vertex is an int id (clause j is j - 1, x_i is m + i)
+and a bag an int mask of ids, from the incidence graph to the DP.
 
 The DP is the paper's recompute-everything recursion: every extension of a
 frame re-solves every child subtree, which keeps its space to the frames on
@@ -22,7 +23,8 @@ inside their parent's extension loop rather than as calls of their own.
 Metering contract: one frame is one ``decomposition`` pass, folded and leaf
 frames included, and a frame's cells are live while it and the frames below
 it on the recursion path run; frames and peak cells are derived from the
-variables each node extends, before any pattern is built.
+variables each node extends, before any pattern is built, and a plan of
+more than ``PATTERN_CAP`` patterns is refused there.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import numpy as np
 from satmeter.formula import (
     Assignment,
     Formula,
-    Vertex,
     bfs_tree,
     components,
     eval_assignment,
@@ -52,9 +53,9 @@ from satmeter.twosat import SolveResult
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Rooted bag tree over incidence-graph vertices."""
+    """Rooted bag tree; a bag is an int mask, bit v for vertex id v."""
 
-    bags: tuple[frozenset[Vertex], ...]  # indexed by node id
+    bags: tuple[int, ...]  # indexed by node id
     children: tuple[tuple[int, ...], ...]
     root: int
 
@@ -64,7 +65,7 @@ class TreeDecomposition:
 
     @property
     def width(self) -> int:
-        return max((len(b) for b in self.bags), default=1) - 1
+        return max((b.bit_count() for b in self.bags), default=1) - 1
 
     @property
     def depth(self) -> int:
@@ -74,40 +75,39 @@ class TreeDecomposition:
         return max(depth.values())
 
 
-def _min_fill_order(component: set[Vertex], graph: dict[Vertex, list[Vertex]]):
+def _min_fill_order(component: set[int], graph: dict[int, list[int]]):
     """Min-fill elimination of one connected component of ``graph``; yields
-    (vertex, bag) pairs.  Each step eliminates the vertex with the least
-    fill, ties to the smallest.  Fills sit in a heap keyed (fill, rank in
-    the component sorted once); an elimination recounts only the fills it
+    each vertex with its neighbours left when it goes.  Each step eliminates
+    the vertex with the least fill, ties to the smallest id; fills sit in a
+    heap keyed (fill, vertex), and an elimination recounts only the fills it
     can change, those of its neighbours and their neighbours."""
     work = {v: set(graph[v]) for v in component}
-    rank = {v: i for i, v in enumerate(sorted(component))}
 
-    def fill(v: Vertex) -> int:
+    def fill(v: int) -> int:
         nbrs = work[v]  # non-adjacent pairs; adjacent ones are seen twice
         seen = sum(len(work[w] & nbrs) for w in nbrs)
         return len(nbrs) * (len(nbrs) - 1) // 2 - seen // 2
 
     current = {v: fill(v) for v in component}
-    heap = [(f, rank[v], v) for v, f in current.items()]
+    heap = [(f, v) for v, f in current.items()]
     heapq.heapify(heap)
     while heap:
-        f, _, v = heapq.heappop(heap)
+        f, v = heapq.heappop(heap)
         if current.get(v) != f:
             continue  # eliminated, or its fill changed since this entry
         del current[v]
         nbrs = work.pop(v)
-        yield v, frozenset([v, *nbrs])
+        yield v, nbrs
         for w in nbrs:
             work[w] |= nbrs
             work[w] -= {w, v}
         for u in set(nbrs).union(*(work[w] for w in nbrs)):
             if (f := fill(u)) != current[u]:
                 current[u] = f
-                heapq.heappush(heap, (f, rank[u], u))
+                heapq.heappush(heap, (f, u))
 
 
-def tree_decompose(graph: dict[Vertex, list[Vertex]]) -> TreeDecomposition:
+def tree_decompose(graph: dict[int, list[int]]) -> TreeDecomposition:
     """Valid (heuristic-width) decomposition via min-fill elimination.
 
     Disconnected graphs get per-component decompositions joined under an
@@ -115,18 +115,17 @@ def tree_decompose(graph: dict[Vertex, list[Vertex]]) -> TreeDecomposition:
     """
     comps = [set(tree) for tree in components(sorted(graph), graph)]
     joined = len(comps) != 1  # node 0 is then the shared empty root bag
-    bags: list[frozenset[Vertex]] = [frozenset()] if joined else []
+    bags: list[int] = [0] if joined else []
     children: list[list[int]] = [[]] if joined else []
     roots = []
     for comp in comps:
         order = list(_min_fill_order(comp, graph))
         elim_pos = {v: i for i, (v, _) in enumerate(order, start=len(bags))}
-        bags += [bag for _, bag in order]
+        bags += [sum(1 << w for w in nbrs) | 1 << v for v, nbrs in order]
         children += [[] for _ in order]
-        for v, bag in order:
-            later = [elim_pos[w] for w in bag if elim_pos[w] > elim_pos[v]]
-            if later:
-                children[min(later)].append(elim_pos[v])
+        for v, nbrs in order:  # each neighbour is eliminated after v
+            if nbrs:
+                children[min(elim_pos[w] for w in nbrs)].append(elim_pos[v])
         roots.append(len(bags) - 1)
     if joined:
         children[0] = roots
@@ -140,34 +139,39 @@ def validate_td(
     """Check the three decomposition axioms against the formula's incidence
     graph (clauses and the variables that occur); returns (ok, witness).
 
-    Vertices and occurrence sets are checked clauses first, then
-    variables, each by index, and edges clause by clause, each clause's
-    variables in ascending order, so the witness does not depend on the
-    hash order of the bags.
+    One mask pass over the bags, parents first: a node tops the vertices its
+    parent's bag lacks (the root all of its own), so a vertex is in a bag iff
+    a node tops it, and its occurrence set is connected iff exactly one does.
+    A clause's edges must lie in the union of the bags that hold it.  Checks
+    run in id order (clauses, then variables), edges clause by clause, each
+    clause's variables ascending, so the witness does not depend on the
+    order of the bags.
     """
-    occurrences: dict[Vertex, set[int]] = {}
-    for node, bag in enumerate(td.bags):
-        for v in bag:
-            occurrences.setdefault(v, set()).add(node)
-    var = [abs(lit) for lit in formula.lits.tolist()]
-    for v in [("C", j) for j in range(1, formula.m + 1)] + [
-        ("x", i) for i in sorted(set(var))
-    ]:
-        if v not in occurrences:
-            return False, f"vertex {v} in no bag"
-    for j, (a, b) in enumerate(pairwise(formula.offsets.tolist()), start=1):
-        u = ("C", j)
-        for v in sorted(("x", i) for i in var[a:b]):
-            if occurrences[u].isdisjoint(occurrences[v]):
-                return False, f"edge {u}-{v} in no bag"
-    # connected occurrence subtrees: count tree edges inside each vertex's
-    # occurrence set; a connected subtree on s nodes has s-1 of them
-    parent = bfs_tree(td.root, td.children)
-    for v in sorted(occurrences):  # clauses, then variables, by index
-        nodes = occurrences[v]
-        internal = sum(1 for x in nodes if x != td.root and parent[x] in nodes)
-        if internal != len(nodes) - 1:
-            return False, f"occurrence set of {v} is disconnected"
+    m, clauses = formula.m, (1 << formula.m) - 1
+    var = [m + abs(lit) for lit in formula.lits.tolist()]
+
+    def name(mask: int) -> tuple[str, int]:  # its lowest vertex, spelled out
+        v = (mask & -mask).bit_length() - 1
+        return ("C", v + 1) if v < m else ("x", v - m)
+    once = twice = 0  # the vertices topped by one node, by two or more
+    reach = [0] * m  # per clause, the union of the bags that hold it
+    for node, up in bfs_tree(td.root, td.children).items():
+        bag = td.bags[node]
+        top = bag if node == up else bag & ~td.bags[up]
+        twice |= once & top
+        once |= top
+        held = bag & clauses
+        while held:
+            low = held & -held
+            reach[low.bit_length() - 1] |= bag
+            held ^= low
+    if missing := (clauses | sum({1 << v for v in var})) & ~once:
+        return False, f"vertex {name(missing)} in no bag"
+    for c, (a, b) in enumerate(pairwise(formula.offsets.tolist())):
+        if lost := sum(1 << v for v in var[a:b]) & ~reach[c]:
+            return False, f"edge {name(1 << c)}-{name(lost)} in no bag"
+    if twice:
+        return False, f"occurrence set of {name(twice)} is disconnected"
     return True, None
 
 
@@ -185,16 +189,16 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
         for c in cs:
             adj[v].add(c)
             adj[c].add(v)
-    out_bags: list[frozenset[Vertex]] = []
+    out_bags: list[int] = []
     out_children: list[list[int]] = []
 
-    def emit(bag: frozenset[Vertex]) -> int:
+    def emit(bag: int) -> int:
         out_bags.append(bag)
         out_children.append([])
         return len(out_bags) - 1
 
     def build(nodes: set[int], boundary: tuple[int, ...]) -> int:
-        bbag = frozenset().union(*(td.bags[b] for b in boundary)) if boundary else frozenset()
+        bbag = td.bags[boundary[0]] | td.bags[boundary[-1]] if boundary else 0
         if len(nodes) == 1:
             (only,) = nodes
             return emit(td.bags[only] | bbag)
@@ -245,6 +249,16 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
         children=tuple(tuple(c) for c in out_children),
         root=root,
     )
+
+
+# extension patterns one DP plan may hold, summed over its nodes: the
+# widest part of a ptas-grid instance needs 193, and a random 3-CNF at
+# n = 40 (one part of width 21) 131,441; a list of 2^20 patterns is 40 MiB
+PATTERN_CAP = 1 << 20
+
+
+class PatternCapError(ValueError):
+    """Raised when a DP plan would hold more than ``PATTERN_CAP`` patterns."""
 
 
 def _patterns(new: int) -> list[int]:
@@ -300,10 +314,12 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[dict, int, i
     of its owned clauses, and its inherited assignment always covers the
     union of its ancestors' frame variables, so the new variables it extends
     are fixed by the tree.  Variable sets are int masks, bit ``v`` for
-    ``x_v``.  A node's frames are its parent's frames times 2^|parent's
-    new|, and a frame charges ``|new| + |frame vars| + 3`` cells, so the
-    peak is the largest root-to-leaf sum of charges; both are known before
-    any pattern list exists.
+    ``x_v``: a bag's are ``bag >> m``.  A node's frames are its parent's
+    frames times 2^|parent's new|, and a frame charges ``|new| + |frame
+    vars| + 3`` cells, so the peak is the largest root-to-leaf sum of
+    charges; both are known before any pattern list exists, and so is the
+    number of patterns, 2^|new| per node, which is refused above
+    ``PATTERN_CAP``.
 
     Then a walk children before parents folds every child with no new
     variable into its parent: a choice-free frame writes no variable and
@@ -319,8 +335,8 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[dict, int, i
     ``above`` (tested once per node frame) and ``pp[p]`` (satisfied by the
     node's pattern p).  ``calls`` lists the other called children.
     """
-    flat, ends = formula.lits.tolist(), formula.offsets.tolist()
-    owned_ids: set[int] = set()
+    flat, ends, m = formula.lits.tolist(), formula.offsets.tolist(), formula.m
+    unowned = (1 << m) - 1
     below: dict[int, int] = {}  # the variables set above a node's children
     new: dict[int, int] = {}
     frames: dict[int, int] = {}
@@ -329,16 +345,19 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[dict, int, i
     walk = bfs_tree(td.root, td.children)
     for node, parent in walk.items():
         bag = td.bags[node]
-        owns = sorted(i for kind, i in bag if kind == "C" and i not in owned_ids)
-        owned_ids.update(owns)
-        mask = sum(1 << i for kind, i in bag if kind == "x")
+        owns = bag & unowned
+        unowned ^= owns
+        mask = bag >> m
         owned[node] = []
-        for j in owns:
-            clause = flat[ends[j - 1] : ends[j]]
+        while owns:  # clauses by index
+            low = owns & -owns
+            j = low.bit_length() - 1
+            clause = flat[ends[j] : ends[j + 1]]
             pos = sum(1 << lit for lit in clause if lit > 0)
             neg = sum(1 << -lit for lit in clause if lit < 0)
             owned[node].append((pos, neg))
             mask |= pos | neg
+            owns ^= low
         domain = 0 if node == parent else below[parent]
         new[node] = mask & ~domain
         below[node] = domain | mask
@@ -348,6 +367,12 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[dict, int, i
         else:
             frames[node] = frames[parent] << new[parent].bit_count()
             path_cells[node] = path_cells[parent] + charge
+    patterns = sum(1 << new[node].bit_count() for node in walk)
+    if patterns > PATTERN_CAP:
+        raise PatternCapError(
+            f"the DP plan needs {patterns} extension patterns, above the "
+            f"pattern cap {PATTERN_CAP}"
+        )
     called: dict[int, list[int]] = {}
     for node in reversed(walk):  # children before their parents
         called[node] = []

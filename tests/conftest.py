@@ -6,7 +6,9 @@ counts them with multiplicity, and ``formulas_with_duplicates`` draws such
 formulas.  ``clause_tuples`` is a formula's clauses as literal tuples, the
 view the references read.  ``HashFunction`` and ``enum_family`` are the
 hash family point by point in Python ints, the reference for the solvers'
-batched evaluator.
+batched evaluator.  ``VertexIds`` translates between the int vertex ids and
+int-mask bags of the incidence graph and the ``("C", j)`` / ``("x", i)``
+spelling that test fixtures and the graph references use.
 """
 
 from __future__ import annotations
@@ -27,6 +29,36 @@ def clause_tuples(f: Formula) -> tuple[tuple[int, ...], ...]:
     """The clauses of ``f`` as a tuple of literal tuples, in order."""
     flat = f.lits.tolist()
     return tuple(tuple(flat[a:b]) for a, b in itertools.pairwise(f.offsets.tolist()))
+
+
+@dataclass(frozen=True)
+class VertexIds:
+    """The incidence-graph ids of a formula with ``m`` clauses: ``("C", j)``
+    is j - 1 (the dummy clause ``("C", m + 1)`` is m) and ``("x", i)`` is
+    m + i.  A bag is an int mask, bit v for id v."""
+
+    m: int
+
+    def id(self, vertex: tuple[str, int]) -> int:
+        kind, i = vertex
+        return i - 1 if kind == "C" else self.m + i
+
+    def name(self, v: int) -> tuple[str, int]:
+        return ("C", v + 1) if v <= self.m else ("x", v - self.m)
+
+    def bag(self, vertices) -> int:
+        """The int mask of tuple-spelled vertices."""
+        return sum({1 << self.id(v) for v in vertices})
+
+    def names(self, bag: int) -> frozenset[tuple[str, int]]:
+        """The tuple-spelled vertices of an int-mask bag."""
+        return frozenset(self.name(v) for v in range(bag.bit_length()) if bag >> v & 1)
+
+    def spelled(self, keyed: dict) -> dict:
+        """A graph or level map re-keyed by tuple-spelled vertices, in its
+        order; a list value (a neighbour list) is spelled too."""
+        return {self.name(v): [self.name(w) for w in x] if isinstance(x, list) else x
+                for v, x in keyed.items()}
 
 
 def as_dict(phi) -> dict[int, int]:

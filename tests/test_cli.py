@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -18,9 +19,12 @@ import satmeter
 from satmeter import cli
 from satmeter import formula as fm
 from satmeter import oracle as orc
+from satmeter import treedp
 from satmeter.cli import _instance_id, main
 from satmeter.formula import MAX_VARS, parse_dimacs, serialize_dimacs
 from satmeter.planar import gen_planar_instance, partition
+
+from conftest import random_formula
 
 TRI = "p cnf 2 3\n1 2 0\n-1 0\n2 0\n"
 PAIR = "p cnf 1 2\n1 0\n-1 0\n"
@@ -390,3 +394,19 @@ def test_pack_cap_exits_2(capsys, tmp_path, tri_path):
     path = _dimacs(tmp_path / "wide12000.cnf", 12000, clauses)
     cases = [["solve", "--alg", alg, path] for alg in ("ls", "half", "chou")]
     assert _exit_codes_within_1gb(cases) == [2, 0, 0]
+
+
+def test_pattern_cap_exits_2(capsys, tmp_path):
+    # random 3-CNFs through the PTAS at eps 1/3: at n = 60 one part's plan
+    # would hold 1,073,742,354 extension patterns, refused before any is
+    # built; at n = 20 the plan stays under the cap
+    paths = []
+    for n in (60, 20):
+        path = tmp_path / f"random{n}.cnf"
+        path.write_text(serialize_dimacs(random_formula(random.Random(1), n, 4 * n, 3)))
+        paths.append(str(path))
+    with mock.patch.object(treedp, "PATTERN_CAP", 5):
+        assert main(["solve", "--alg", "planar-ptas", "--eps", "1/3", paths[1]]) == 2
+    assert "extension patterns, above the pattern cap 5" in capsys.readouterr().err
+    cases = [["solve", "--alg", "planar-ptas", "--eps", "1/3", path] for path in paths]
+    assert _exit_codes_within_1gb(cases) == [2, 0]

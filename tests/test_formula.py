@@ -28,7 +28,13 @@ from satmeter.formula import (
 
 import numpy as np
 
-from conftest import as_dict, clause_tuples, formulas_with_duplicates, random_formula
+from conftest import (
+    VertexIds,
+    as_dict,
+    clause_tuples,
+    formulas_with_duplicates,
+    random_formula,
+)
 
 
 def parse_assignment(text: str) -> dict[int, int]:
@@ -126,24 +132,25 @@ def test_histogram_examples():
 
 
 def test_incidence_graph_example():
+    # int ids: clause j is j - 1 and x_i is m + i, here x1 = 4 and x2 = 5
     f = Formula(n=2, clauses=((2, 1), (-1,), (2,)))
     assert incidence_graph(f) == {
-        ("x", 1): [("C", 1), ("C", 2)],
-        ("x", 2): [("C", 1), ("C", 3)],
-        ("C", 1): [("x", 2), ("x", 1)],  # literal order
-        ("C", 2): [("x", 1)],
-        ("C", 3): [("x", 2)],
+        4: [0, 1],
+        5: [0, 2],
+        0: [5, 4],  # literal order
+        1: [4],
+        2: [5],
     }
 
 
 def test_incidence_graph_trivial_cases():
     # a declared variable that occurs in no clause is not a vertex
     assert incidence_graph(Formula(n=2, clauses=())) == {}
-    assert incidence_graph(Formula(n=1, clauses=((1,),))) == {
+    assert VertexIds(1).spelled(incidence_graph(Formula(n=1, clauses=((1,),)))) == {
         ("x", 1): [("C", 1)],
         ("C", 1): [("x", 1)],
     }
-    graph = incidence_graph(Formula(n=5, clauses=((4, -2), (2,))))
+    graph = VertexIds(2).spelled(incidence_graph(Formula(n=5, clauses=((4, -2), (2,)))))
     assert list(graph.items()) == [  # the used variables ascending, then the clauses
         (("x", 2), [("C", 1), ("C", 2)]),
         (("x", 4), [("C", 1)]),

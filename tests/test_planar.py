@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import clause_tuples, random_formula, two_chains
+from conftest import VertexIds, clause_tuples, random_formula, two_chains
 from satmeter.formula import Formula, bfs_tree, incidence_graph, serialize_dimacs
 from satmeter.planar import (
     bfs_levels,
@@ -20,9 +20,10 @@ HUGE_K = 10**13
 
 
 def _levels(f: Formula):
-    """The dummy-connected incidence graph and its levels from the dummy."""
+    """The dummy-connected incidence graph and its levels from the dummy,
+    vertex m + n + 1."""
     graph = connect_with_dummy(f)
-    return graph, bfs_levels(graph, ("x", f.n + 1), f.n + f.m + 2)
+    return graph, bfs_levels(graph, f.m + f.n + 1, f.n + f.m + 2)
 
 
 def _reference_band(level_of, k, skip_clause):
@@ -56,7 +57,8 @@ def _reference_band(level_of, k, skip_clause):
 
 def _reference_parts(f: Formula, k: int):
     """Clause indices of the components left once the reference band is out."""
-    graph, level_of = _levels(f)
+    ids = VertexIds(f.m)
+    graph, level_of = (ids.spelled(keyed) for keyed in _levels(f))
     chosen, losses, band = _reference_band(level_of, k, f.m + 1)
     kept = set(level_of) - band
     parts, seen = [], set()
@@ -86,24 +88,26 @@ def _multi_component_formula(rng: random.Random) -> Formula:
 
 def test_connect_with_dummy_two_components():
     f = Formula(n=2, clauses=((1,), (2,)))
+    ids = VertexIds(f.m)
     graph = connect_with_dummy(f)
+    spelled = ids.spelled(graph)
     dummy = ("x", 3)  # variable n + 1, its clause m + 1
     # one representative clause per component, plus the dummy clause edge
-    nbrs = set(graph[dummy])
+    nbrs = set(spelled[dummy])
     assert ("C", 1) in nbrs and ("C", 2) in nbrs and ("C", 3) in nbrs
-    assert graph[("C", 3)] == [dummy]
-    level_of = bfs_levels(graph, dummy, 6)
-    assert {v for v in graph if v[0] == "C"} <= set(level_of)
+    assert spelled[("C", 3)] == [dummy]
+    level_of = bfs_levels(graph, ids.id(dummy), 6)
+    assert {v for v in graph if v <= f.m} <= set(level_of)  # the clauses
 
 
 def test_connect_with_dummy_empty_formula():
-    graph = connect_with_dummy(Formula(n=0, clauses=()))
+    graph = VertexIds(0).spelled(connect_with_dummy(Formula(n=0, clauses=())))
     assert graph == {("x", 1): [("C", 1)], ("C", 1): [("x", 1)]}
 
 
 def test_bfs_levels_example():
     f = Formula(n=2, clauses=((1, 2), (-1,), (2,)))
-    graph, level_of = _levels(f)
+    graph, level_of = (VertexIds(f.m).spelled(keyed) for keyed in _levels(f))
     assert level_of[("x", 3)] == 1
     attached = [v for v in graph[("x", 3)] if v[0] == "C"]
     for v in attached:
@@ -112,7 +116,7 @@ def test_bfs_levels_example():
     assert level_of[("x", 1)] == 3
     # depth d = 4: triples j = 0..2, residues 0..3 counted
     assert max(level_of.values()) == 4
-    assert len(choose_deletion_band(level_of, HUGE_K, skip_clause=4)[1]) == 4
+    assert len(choose_deletion_band(_levels(f)[1], HUGE_K, f.m)[1]) == 4
 
 
 def test_bfs_levels_match_reference_bfs():
@@ -120,7 +124,7 @@ def test_bfs_levels_match_reference_bfs():
     for _ in range(10):
         f = gen_planar_instance("tree", rng.randint(3, 20), seed=rng.random())
         graph, level_of = _levels(f)
-        root = ("x", f.n + 1)
+        root = f.m + f.n + 1
         # reference: plain BFS distances + 1
         from collections import deque
 
@@ -139,7 +143,7 @@ def test_deletion_band_small_depth_has_free_residue():
     # depth < 2k: some residue has no triple at all, loss 0
     f = Formula(n=2, clauses=((1, 2),))
     _, level_of = _levels(f)
-    chosen, losses = choose_deletion_band(level_of, 8, skip_clause=f.m + 1)
+    chosen, losses = choose_deletion_band(level_of, 8, f.m)
     assert losses[chosen] == 0
     # odd depth 3 rounds up to d = 4: residues 0..3 counted
     assert max(level_of.values()) == 3 and len(losses) == 4
@@ -152,7 +156,7 @@ def test_deletion_band_loss_bounds():
                                 seed=rng.randint(0, 99))
         _, level_of = _levels(f)
         for k in (2, 3, 4):
-            chosen, losses = choose_deletion_band(level_of, k, skip_clause=f.m + 1)
+            chosen, losses = choose_deletion_band(level_of, k, f.m)
             assert sum(losses) <= 2 * f.m
             assert k * losses[chosen] <= 2 * f.m  # cheapest residue
             result = partition(f, k)
@@ -165,8 +169,8 @@ def test_deletion_band_huge_k_matches_first_empty_residue():
     _, level_of = _levels(f)
     deepest = max(level_of.values())
     small_k = (deepest + deepest % 2) // 2 + 2
-    small = choose_deletion_band(level_of, small_k, skip_clause=f.m + 1)
-    assert choose_deletion_band(level_of, HUGE_K, skip_clause=f.m + 1) == small
+    small = choose_deletion_band(level_of, small_k, f.m)
+    assert choose_deletion_band(level_of, HUGE_K, f.m) == small
     # the same band: the same parts
     huge_parts, small_parts = partition(f, HUGE_K), partition(f, small_k)
     assert huge_parts.part_clause_indices == small_parts.part_clause_indices
@@ -254,7 +258,7 @@ def test_generators_are_planar_and_shaped():
     chain = gen_planar_instance("chain", 8, seed=0)
     assert chain.m == 7 and all(len(c) == 2 for c in clause_tuples(chain))
     g = incidence_graph(chain)
-    degs = sorted(len(g[("x", i)]) for i in range(1, 9))
+    degs = sorted(len(g[chain.m + i]) for i in range(1, 9))
     assert degs == [1, 1, 2, 2, 2, 2, 2, 2]  # path
     grid = gen_planar_instance("grid", (5, 5), seed=0)
     assert grid.m == 2 * 5 * 4

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +17,9 @@ from satmeter.formula import Formula, bfs_tree, eval_assignment, incidence_graph
 from satmeter.metering import meter_scope, note_pass, tracked
 from satmeter.oracle import exact_maxsat
 from satmeter.planar import gen_planar_instance, partition
+from satmeter import treedp
 from satmeter.treedp import (
+    PatternCapError,
     TreeDecomposition,
     _min_fill_order,
     _renumbered,
@@ -27,7 +30,7 @@ from satmeter.treedp import (
     validate_td,
 )
 
-from conftest import as_dict, clause_tuples, random_formula
+from conftest import VertexIds, as_dict, clause_tuples, random_formula
 
 
 def _path_graph(k):
@@ -52,14 +55,15 @@ def test_decompose_cycle_width_2():
 
 def test_decompose_single_vertex():
     # given directly: an incidence graph keys no variable without clauses
-    td = tree_decompose({("x", 1): []})
-    assert td.bags == (frozenset({("x", 1)}),)
+    ids = VertexIds(0)
+    td = tree_decompose({ids.id(("x", 1)): []})
+    assert td.bags == (ids.bag({("x", 1)}),)
     assert td.width == 0
 
 
 def test_decompose_empty_graph():
     td = tree_decompose({})
-    assert (td.bags, td.children, td.root) == ((frozenset(),), ((),), 0)
+    assert (td.bags, td.children, td.root) == ((0,), ((),), 0)
 
 
 def test_decompose_disconnected_graph():
@@ -71,8 +75,9 @@ def test_decompose_disconnected_graph():
 
 def test_validate_catches_missing_edge():
     f = Formula(n=2, clauses=((1, 2),))
+    ids = VertexIds(f.m)
     td = TreeDecomposition(
-        bags=(frozenset({("x", 1), ("C", 1)}), frozenset({("x", 2)})),
+        bags=(ids.bag({("x", 1), ("C", 1)}), ids.bag({("x", 2)})),
         children=((1,), ()),
         root=0,
     )
@@ -80,10 +85,11 @@ def test_validate_catches_missing_edge():
     assert not ok and "edge" in witness
     # the first missing edge in clause order, then variable order
     f = Formula(n=3, clauses=((1,), (3, 2)))
+    ids = VertexIds(f.m)
     td = TreeDecomposition(
         bags=(
-            frozenset({("x", 1), ("C", 1), ("x", 2), ("x", 3)}),
-            frozenset({("C", 2)}),
+            ids.bag({("x", 1), ("C", 1), ("x", 2), ("x", 3)}),
+            ids.bag({("C", 2)}),
         ),
         children=((1,), ()),
         root=0,
@@ -93,11 +99,12 @@ def test_validate_catches_missing_edge():
 
 def test_validate_catches_disconnected_occurrence():
     f = Formula(n=2, clauses=((1, 2),))
+    ids = VertexIds(f.m)
     td = TreeDecomposition(
         bags=(
-            frozenset({("x", 1), ("x", 2), ("C", 1)}),
-            frozenset({("x", 2)}),
-            frozenset({("x", 1), ("x", 2)}),
+            ids.bag({("x", 1), ("x", 2), ("C", 1)}),
+            ids.bag({("x", 2)}),
+            ids.bag({("x", 1), ("x", 2)}),
         ),
         children=((1,), (2,), ()),
         root=0,
@@ -108,12 +115,12 @@ def test_validate_catches_disconnected_occurrence():
 
 def test_validate_td_witness_ignores_hash_seed():
     # two disconnected occurrence sets; the clause vertex is named first
-    # whatever order the bags' frozensets iterate in
+    # whatever the string-hash seed
     script = (
         "from satmeter.formula import Formula\n"
         "from satmeter.treedp import TreeDecomposition, validate_td\n"
-        "full = frozenset({('x', 1), ('x', 2), ('C', 1)})\n"
-        "td = TreeDecomposition(bags=(full, frozenset(), full),"
+        "full = 0b1101  # C1, x1 and x2: ids 0, 2 and 3\n"
+        "td = TreeDecomposition(bags=(full, 0, full),"
         " children=((1,), (2,), ()), root=0)\n"
         "print(validate_td(Formula(n=2, clauses=((1, 2),)), td)[1])\n"
     )
@@ -138,11 +145,11 @@ def test_rebalance_path_decomposition():
     assert ok, witness
     assert all(len(c) <= 2 for c in rb.children)  # binary
     assert rb.depth <= 4 * max(1, math.ceil(math.log2(td.num_nodes)))
-    assert max(len(b) for b in rb.bags) <= 3 * max(len(b) for b in td.bags)
+    assert max(b.bit_count() for b in rb.bags) <= 3 * max(b.bit_count() for b in td.bags)
 
 
 def test_rebalance_single_bag():
-    td = TreeDecomposition(bags=(frozenset({("x", 1)}),), children=((),), root=0)
+    td = TreeDecomposition(bags=(VertexIds(0).bag({("x", 1)}),), children=((),), root=0)
     rb = rebalance(td)
     assert rb.bags == td.bags
 
@@ -157,7 +164,7 @@ def test_rebalance_random_formulas_valid():
         ok, witness = validate_td(f, rb)
         assert ok, witness
         assert all(len(c) <= 2 for c in rb.children)  # binary
-        assert max(len(b) for b in rb.bags) <= 3 * max(len(b) for b in td.bags)
+        assert max(b.bit_count() for b in rb.bags) <= 3 * max(b.bit_count() for b in td.bags)
 
 
 def test_bdtw_examples():
@@ -178,7 +185,7 @@ def test_bdtw_examples():
 def test_bdtw_rejects_invalid_td():
     f = Formula(n=2, clauses=((1, 2),))
     bad = TreeDecomposition(
-        bags=(frozenset({("x", 1)}),), children=((),), root=0
+        bags=(VertexIds(f.m).bag({("x", 1)}),), children=((),), root=0
     )
     with pytest.raises(ValueError):
         bdtw_maxsat(bad, f)
@@ -251,16 +258,17 @@ def _frames_of(td, formula):
         for child in td.children[node]:
             parent[child] = node
             order.append(child)
+    names = VertexIds(formula.m).names
     owner = {}
     for node in order:  # breadth first: the first bag seen is the shallowest
-        for kind, j in sorted(td.bags[node]):
+        for kind, j in sorted(names(td.bags[node])):
             if kind == "C":
                 owner.setdefault(j, node)
     owned = {node: sorted(j for j, o in owner.items() if o == node) for node in order}
     frame, new, above = {}, {}, {td.root: set()}
     clauses = clause_tuples(formula)
     for node in order:
-        frame[node] = {i for kind, i in td.bags[node] if kind == "x"}
+        frame[node] = {i for kind, i in names(td.bags[node]) if kind == "x"}
         for j in owned[node]:
             frame[node].update(abs(lit) for lit in clauses[j - 1])
         new[node] = frame[node] - above[node]
@@ -331,6 +339,26 @@ def _assert_dp_contract(td, formula):
     assert passes == {"decomposition": sum(calls.values())}
 
 
+def test_pattern_cap_refuses_before_any_pattern():
+    # the cap counts 2^|new| per node, as the per-frame reference derives
+    # them, and refuses one pattern over it before _patterns ever runs
+    f = gen_planar_instance("grid", (3, 3), seed=2)
+    td = rebalance(tree_decompose(incidence_graph(f)))
+    order, _, _, _, new = _frames_of(td, f)
+    patterns = sum(1 << len(new[node]) for node in order)
+    with mock.patch.object(treedp, "PATTERN_CAP", patterns):
+        assert bdtw_maxsat(td, f)[0] == exact_maxsat(f)[0]
+    unbuilt = mock.patch.object(treedp, "_patterns", side_effect=AssertionError("built"))
+    with mock.patch.object(treedp, "PATTERN_CAP", patterns - 1), unbuilt:
+        with pytest.raises(PatternCapError, match=f"needs {patterns} extension patterns"):
+            bdtw_maxsat(td, f)
+    # one 21-literal clause: its owner extends 20 variables, 2^20 patterns
+    # plus those of the other nodes, over the default cap of 2^20
+    wide = Formula(n=21, clauses=(tuple(range(1, 22)),))
+    with unbuilt, pytest.raises(PatternCapError, match="pattern cap 1048576"):
+        bdtw_maxsat(tree_decompose(incidence_graph(wide)), wide)
+
+
 def _with_duplicates(rng, f, copies):
     clauses = clause_tuples(f)
     extra = tuple(rng.choice(clauses) for _ in range(copies)) if f.m else ()
@@ -354,13 +382,15 @@ def test_bdtw_matches_per_frame_reference_random(n, m, copies, seed):
 
 def _reference_validate_td(formula, td):
     """``validate_td`` as it was over a vertex set and an edge set, with
-    occurrence sets checked in sorted vertex order."""
-    graph = incidence_graph(formula)
+    occurrence sets checked in sorted vertex order, on tuple-spelled
+    vertices."""
+    ids = VertexIds(formula.m)
+    graph = ids.spelled(incidence_graph(formula))
     vertices = set(graph)
     edges = {frozenset((u, v)) for u, nbrs in graph.items() for v in nbrs}
     occurrences = {}
     for node, bag in enumerate(td.bags):
-        for v in bag:
+        for v in ids.names(bag):
             occurrences.setdefault(v, set()).add(node)
     missing = vertices - occurrences.keys()
     if missing:
@@ -386,15 +416,15 @@ def _mutations(rng, td, vertices):
     for node, bag in enumerate(bags):
         if bag:
             dropped = bags.copy()
-            dropped[node] = bag - {rng.choice(sorted(bag))}
+            dropped[node] = bag & ~(1 << rng.choice([v for v in vertices if bag >> v & 1]))
             yield dropped
     if not vertices:  # no clause, so no vertex to drop or add
         return
-    gone = rng.choice(vertices)
-    yield [bag - {gone} for bag in bags]
+    gone = 1 << rng.choice(vertices)
+    yield [bag & ~gone for bag in bags]
     added = bags.copy()
     node = rng.randrange(len(bags))
-    added[node] = bags[node] | {rng.choice(vertices)}
+    added[node] = bags[node] | 1 << rng.choice(vertices)
     yield added
 
 
@@ -464,7 +494,7 @@ def test_bdtw_matches_per_frame_reference_three_children(signs, copies):
             if ("C", j) in bag:
                 bag.add(("C", 5 + j))
     td = TreeDecomposition(
-        bags=tuple(map(frozenset, bags)),
+        bags=tuple(map(VertexIds(f.m).bag, bags)),
         children=((1, 2, 3), (4,), (), (5,), (), ()),
         root=0,
     )
@@ -522,7 +552,7 @@ def test_bdtw_matches_per_frame_reference_stacked_choice_free(signs, copies):
             if ("C", j) in bag:
                 bag.add(("C", 5 + j))
     td = TreeDecomposition(
-        bags=tuple(map(frozenset, bags)),
+        bags=tuple(map(VertexIds(f.m).bag, bags)),
         children=((1, 5), (2,), (3, 4), (), (), (6,), ()),
         root=0,
     )
@@ -567,7 +597,7 @@ def test_bdtw_matches_per_frame_reference_lifted_leaves(signs, copies):
             if ("C", j) in bag:
                 bag.add(("C", dup))
     td = TreeDecomposition(
-        bags=tuple(map(frozenset, bags)),
+        bags=tuple(map(VertexIds(f.m).bag, bags)),
         children=((1,), (2, 3, 5, 7), (), (4,), (), (6,), (), (8,), ()),
         root=0,
     )
@@ -620,12 +650,15 @@ def test_min_fill_order_matches_reference(shape, copies, seed):
         f = random_formula(rng, a, b, min(3, a))
     else:
         f = gen_planar_instance(kind, (a, b) if kind == "grid" else a, seed=seed)
-    graph = incidence_graph(_with_duplicates(rng, f, copies))
+    f = _with_duplicates(rng, f, copies)
+    ids = VertexIds(f.m)
+    graph = incidence_graph(f)
+    spelled = ids.spelled(graph)
     seen = set()
     for start in sorted(graph):  # every component, as tree_decompose walks them
         if start not in seen:
             comp = set(bfs_tree(start, graph))
             seen |= comp
-            assert list(_min_fill_order(comp, graph)) == list(
-                _reference_min_fill_order(comp, graph)
-            )
+            got = [(ids.name(v), frozenset(map(ids.name, [v, *nbrs])))
+                   for v, nbrs in _min_fill_order(comp, graph)]
+            assert got == list(_reference_min_fill_order(set(map(ids.name, comp)), spelled))
