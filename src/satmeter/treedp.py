@@ -182,7 +182,11 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
     node on the path between the current piece's two boundary attachment
     points), root the piece at the union of B_s with the boundary bags, and
     recurse into the remaining components.  Every piece carries at most two
-    boundary nodes, so bags union at most three original bags.
+    boundary nodes, so bags union at most three original bags.  The roots
+    of a splitter's c pieces hang under a count-balanced binary tree of
+    c - 2 copies of its bag, which adds ceil(log2 c) - 1 levels, not the
+    c - 2 of a chain (Bodlaender & Hagerup, SIAM J. Comput. 1998, weight
+    that split by piece size as well).
     """
     adj: dict[int, set[int]] = {v: set() for v in range(td.num_nodes)}
     for v, cs in enumerate(td.children):
@@ -233,15 +237,23 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
             )
             assert len(sub_boundary) <= 2, "separator invariant broken"
             subtree_roots.append(build(comp, sub_boundary))
-        # attach children, binarizing with copies of the root bag
-        attach = root
-        while len(subtree_roots) > 2:
-            spare = emit(out_bags[root])
-            left = subtree_roots.pop()
-            out_children[attach].extend([left, spare])
-            attach = spare
-        out_children[attach].extend(subtree_roots)
+        attach(root, subtree_roots)
         return root
+
+    def attach(node: int, roots: list[int]) -> None:
+        # hang the roots under a count-balanced binary tree of copies of
+        # node's bag, so c roots add ceil(log2 c) - 1 levels
+        if len(roots) <= 2:
+            out_children[node].extend(roots)
+            return
+        half = len(roots) // 2
+        for group in (roots[:half], roots[half:]):
+            if len(group) == 1:
+                out_children[node].append(group[0])
+            else:
+                spare = emit(out_bags[node])
+                out_children[node].append(spare)
+                attach(spare, group)
 
     root = build(set(range(td.num_nodes)), ())
     return TreeDecomposition(

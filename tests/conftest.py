@@ -3,7 +3,8 @@
 ``random_formula`` and its kin emit formulas with pairwise-distinct
 clauses.  ``Formula`` does not enforce that: it keeps duplicate clauses and
 counts them with multiplicity, and ``formulas_with_duplicates`` draws such
-formulas.  ``clause_tuples`` is a formula's clauses as literal tuples, the
+formulas, and ``high_degree_trees`` draws tree formulas with vertices of
+high degree.  ``clause_tuples`` is a formula's clauses as literal tuples, the
 view the references read.  ``HashFunction`` and ``enum_family`` are the
 hash family point by point in Python ints, the reference for the solvers'
 batched evaluator.  ``VertexIds`` translates between the int vertex ids and
@@ -108,6 +109,33 @@ def formulas_with_duplicates(draw):
     clauses = [c for c in clauses for _ in range(draw(st.integers(1, 3)))]
     r = draw(st.sampled_from([0, 0, 4, 40, 70]))
     return Formula(n=n, clauses=draw(st.permutations(clauses)), r=r)
+
+
+@st.composite
+def high_degree_trees(draw):
+    """A planar tree formula around high-degree variables: a star (x1 joined
+    to every other variable), a caterpillar (a path with legs on every path
+    variable) or a broom (a path whose last variable is a star's centre).
+    Every tree edge is a 2-clause and every leg a unit, signs at random."""
+    kind = draw(st.sampled_from(["star", "caterpillar", "broom"]))
+    if kind == "star":
+        spine, legs = 1, draw(st.integers(2, 200))
+    elif kind == "caterpillar":
+        spine, legs = draw(st.integers(2, 12)), draw(st.integers(2, 16))
+    else:
+        spine, legs = draw(st.integers(2, 40)), draw(st.integers(2, 120))
+    edges = [(v, v + 1) for v in range(1, spine)]
+    n = spine
+    for hub in range(1, spine + 1) if kind == "caterpillar" else (spine,):
+        edges += [(hub, leg) for leg in range(n + 1, n + legs + 1)]
+        n += legs
+    rng = random.Random(draw(st.integers(0, 2**30)))
+
+    def lit(v: int) -> int:
+        return v if rng.random() < 0.5 else -v
+    clauses = [(lit(a), lit(b)) for a, b in edges]
+    clauses += [(lit(v),) for v in range(spine + 1, n + 1)]
+    return Formula(n=n, clauses=tuple(clauses))
 
 
 def random_formula(

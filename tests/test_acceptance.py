@@ -30,6 +30,7 @@ from satmeter.treedp import (
     bdtw_maxsat,
     planar_ptas,
     rebalance,
+    solve_part_exact,
     tree_decompose,
 )
 from satmeter.twosat import half_approx, ls_solve
@@ -307,6 +308,39 @@ def test_criterion_7_space_scaling():
         ok = False
     _verdict(7, "space scaling", ok, "; ".join(details))
     assert ok, details
+
+
+def test_criterion_7_star_ladder_ptas_peak():
+    # the planar star (x1 v x_i), (-x_i): min-fill gives x1 one bag with a
+    # child per leg, so the DP's frames stack along whatever depth
+    # rebalance leaves there; the paper's (r/eps) log^2 n term needs it
+    # logarithmic
+    sizes = [100, 400, 1600]
+    eps = Fraction(1, 3)
+    k = math.ceil(2 / eps)
+    ptas_peaks, bfs_peaks, dp_peaks = [], [], []
+    for n in sizes:
+        f = Formula(n=n, clauses=tuple(
+            c for i in range(2, n + 1) for c in ((1, i), (-i,))))
+        ptas_peaks.append(planar_ptas(f, eps).report.peak_aux_cells)
+        with meter_scope("partition") as sc:
+            parts = partition(f, k).parts
+        bfs_peaks.append(sc.report.peak_aux_cells)
+        peak = 0
+        for part in parts:
+            with meter_scope("part") as sc:
+                solve_part_exact(part)
+            peak = max(peak, sc.report.peak_aux_cells)
+        dp_peaks.append(peak)
+    log2_sq = [math.log2(n) ** 2 for n in sizes]
+    res_log2 = _fit_residual(log2_sq, dp_peaks)
+    res_lin = _fit_residual(sizes, dp_peaks)
+    ok = (res_log2 < 0.20 and res_log2 <= res_lin + 1e-9
+          and ptas_peaks == [max(b, d) for b, d in zip(bfs_peaks, dp_peaks)])
+    _verdict(7, "star ladder ptas peak", ok,
+             f"ptas peaks {ptas_peaks}, dp peaks {dp_peaks}: "
+             f"log2^2-res {res_log2:.3f} lin-res {res_lin:.3f}")
+    assert ok, (ptas_peaks, bfs_peaks, dp_peaks, res_log2, res_lin)
 
 
 def _cli_json(argv):

@@ -30,7 +30,13 @@ from satmeter.treedp import (
     validate_td,
 )
 
-from conftest import VertexIds, as_dict, clause_tuples, random_formula
+from conftest import (
+    VertexIds,
+    as_dict,
+    clause_tuples,
+    high_degree_trees,
+    random_formula,
+)
 
 
 def _path_graph(k):
@@ -139,13 +145,29 @@ def test_validate_td_witness_ignores_hash_seed():
 def test_rebalance_path_decomposition():
     # 16-bag path decomposition: depth 15 down to O(log)
     f = gen_planar_instance("chain", 17, seed=0)
-    td = tree_decompose(incidence_graph(f))
+    _assert_rebalanced(f, tree_decompose(incidence_graph(f)))
+
+
+def _assert_rebalanced(f, td):
+    """``rebalance(td)`` is a valid binary decomposition of ``f`` whose depth
+    is at most 4 * ceil(log2 nodes of td) and whose bags are at most three
+    times ``td``'s."""
     rb = rebalance(td)
     ok, witness = validate_td(f, rb)
     assert ok, witness
     assert all(len(c) <= 2 for c in rb.children)  # binary
     assert rb.depth <= 4 * max(1, math.ceil(math.log2(td.num_nodes)))
     assert max(b.bit_count() for b in rb.bags) <= 3 * max(b.bit_count() for b in td.bags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(high_degree_trees())
+@example(Formula(n=200, clauses=tuple(
+    c for i in range(2, 201) for c in ((1, i), (-i,)))))  # star, 199 legs
+def test_rebalance_high_degree_trees_log_depth(f):
+    # min-fill gives the hub one bag with a child per leg; a splitter's
+    # pieces must not hang off a chain of copies of its bag
+    _assert_rebalanced(f, tree_decompose(incidence_graph(f)))
 
 
 def test_rebalance_single_bag():
@@ -159,12 +181,7 @@ def test_rebalance_random_formulas_valid():
     for _ in range(20):
         n = rng.randint(2, 10)
         f = random_formula(rng, n, rng.randint(1, 3 * n), min(3, n))
-        td = tree_decompose(incidence_graph(f))
-        rb = rebalance(td)
-        ok, witness = validate_td(f, rb)
-        assert ok, witness
-        assert all(len(c) <= 2 for c in rb.children)  # binary
-        assert max(b.bit_count() for b in rb.bags) <= 3 * max(b.bit_count() for b in td.bags)
+        _assert_rebalanced(f, tree_decompose(incidence_graph(f)))
 
 
 def test_bdtw_examples():
