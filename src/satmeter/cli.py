@@ -25,7 +25,7 @@ from satmeter import oracle as orc
 from satmeter.biased import bias_profile, chou_solve
 from satmeter.hashfam import HashFamilySpec, _candidate_chunks, smallest_prime_geq
 from satmeter.planar import gen_planar_instance, partition, verify_partition
-from satmeter.treedp import PatternCapError, planar_ptas
+from satmeter.treedp import FrameCapError, PatternCapError, planar_ptas
 from satmeter.twosat import SolveResult, half_approx, ls_solve
 
 SCHEMA_VERSION = 1
@@ -331,7 +331,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, orc.OracleCapError, fm.PackCapError, PatternCapError) as exc:
+    except (InputError, orc.OracleCapError, fm.PackCapError, PatternCapError,
+            FrameCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ZeroDivisionError, AssertionError) as exc:

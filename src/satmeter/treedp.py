@@ -4,11 +4,16 @@
 (no optimality promise, widths stay small on layer-bounded parts),
 ``validate_td`` checks a decomposition against the formula's clauses,
 ``rebalance`` rebuilds any valid decomposition into a rooted binary one of
-logarithmic depth with bag size at most tripled, and ``bdtw_maxsat``
+logarithmic depth with bag size at most tripled (a splitter's pieces hang
+under a balanced binary tree of copies of its bag), and ``bdtw_maxsat``
 recursively enumerates bag-variable extensions to compute an exact optimum
 with a witnessing assignment.  The PTAS driver stitches these together over
 the band partition.  A vertex is an int id (clause j is j - 1, x_i is m + i)
-and a bag an int mask of ids, from the incidence graph to the DP.
+and a bag an int mask of ids, from the incidence graph to the DP.  The PTAS
+runs them once per part, on parts of a few clauses each on sparse inputs,
+so they walk lists indexed by node id rather than dicts: ``rebalance``
+walks each piece once over arrays of its own, and ``_compile_plan`` fills
+per-node lists in one walk.
 
 The DP is the paper's recompute-everything recursion: every extension of a
 frame re-solves every child subtree, which keeps its space to the frames on
@@ -24,7 +29,7 @@ Metering contract: one frame is one ``decomposition`` pass, folded and leaf
 frames included, and a frame's cells are live while it and the frames below
 it on the recursion path run; frames and peak cells are derived from the
 variables each node extends, before any pattern is built, and a plan of
-more than ``PATTERN_CAP`` patterns is refused there.
+more than ``PATTERN_CAP`` patterns or ``FRAME_CAP`` frames is refused there.
 """
 
 from __future__ import annotations
@@ -69,10 +74,13 @@ class TreeDecomposition:
 
     @property
     def depth(self) -> int:
-        depth: dict[int, int] = {}
-        for v, p in bfs_tree(self.root, self.children).items():
-            depth[v] = 0 if v == p else depth[p] + 1
-        return max(depth.values())
+        depth = [0] * len(self.bags)
+        walk = [self.root]
+        for node in walk:  # parents before children
+            for child in self.children[node]:
+                depth[child] = depth[node] + 1
+            walk += self.children[node]
+        return max(depth)
 
 
 def _min_fill_order(component: set[int], graph: dict[int, list[int]]):
@@ -80,11 +88,15 @@ def _min_fill_order(component: set[int], graph: dict[int, list[int]]):
     each vertex with its neighbours left when it goes.  Each step eliminates
     the vertex with the least fill, ties to the smallest id; fills sit in a
     heap keyed (fill, vertex), and an elimination recounts only the fills it
-    can change, those of its neighbours and their neighbours."""
+    can change: its neighbours', and when it had two or more (so it adds
+    fill edges among them) their neighbours' too.  A vertex of degree < 2
+    has fill 0 at once, and the neighbour sets are updated in place."""
     work = {v: set(graph[v]) for v in component}
 
     def fill(v: int) -> int:
         nbrs = work[v]  # non-adjacent pairs; adjacent ones are seen twice
+        if len(nbrs) < 2:
+            return 0
         seen = sum(len(work[w] & nbrs) for w in nbrs)
         return len(nbrs) * (len(nbrs) - 1) // 2 - seen // 2
 
@@ -98,10 +110,15 @@ def _min_fill_order(component: set[int], graph: dict[int, list[int]]):
         del current[v]
         nbrs = work.pop(v)
         yield v, nbrs
+        touched = set(nbrs)
         for w in nbrs:
-            work[w] |= nbrs
-            work[w] -= {w, v}
-        for u in set(nbrs).union(*(work[w] for w in nbrs)):
+            near = work[w]
+            near |= nbrs
+            near.discard(w)
+            near.discard(v)
+            if len(nbrs) > 1:  # fill edges: a vertex next to two can change
+                touched |= near
+        for u in touched:
             if (f := fill(u)) != current[u]:
                 current[u] = f
                 heapq.heappush(heap, (f, u))
@@ -121,11 +138,11 @@ def tree_decompose(graph: dict[int, list[int]]) -> TreeDecomposition:
     for comp in comps:
         order = list(_min_fill_order(comp, graph))
         elim_pos = {v: i for i, (v, _) in enumerate(order, start=len(bags))}
-        bags += [sum(1 << w for w in nbrs) | 1 << v for v, nbrs in order]
+        bags += [sum(map((1).__lshift__, nbrs)) | 1 << v for v, nbrs in order]
         children += [[] for _ in order]
         for v, nbrs in order:  # each neighbour is eliminated after v
             if nbrs:
-                children[min(elim_pos[w] for w in nbrs)].append(elim_pos[v])
+                children[min(map(elim_pos.__getitem__, nbrs))].append(elim_pos[v])
         roots.append(len(bags) - 1)
     if joined:
         children[0] = roots
@@ -187,12 +204,24 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
     c - 2 copies of its bag, which adds ceil(log2 c) - 1 levels, not the
     c - 2 of a chain (Bodlaender & Hagerup, SIAM J. Comput. 1998, weight
     that split by piece size as well).
+
+    Each piece is walked once, from its top, over list-indexed arrays
+    (adjacency, parent, subtree size, largest child) that every piece
+    reuses, and a node's piece is a stamp in one more array.  The pieces
+    left without s are stamped from that same walk and taken in order of
+    their smallest node, the order of a ``components`` walk over them.
     """
-    adj: dict[int, set[int]] = {v: set() for v in range(td.num_nodes)}
+    bags = td.bags
+    adj: list[list[int]] = [[] for _ in bags]
     for v, cs in enumerate(td.children):
+        adj[v] += cs
         for c in cs:
-            adj[v].add(c)
-            adj[c].add(v)
+            adj[c].append(v)
+    piece = [0] * len(bags)  # per node, the stamp of the piece it is in
+    up = [0] * len(bags)  # per node, its parent in its piece's walk
+    size = [0] * len(bags)  # and the size of its subtree there
+    largest_child = [0] * len(bags)
+    fresh = 1  # the next unused piece stamp
     out_bags: list[int] = []
     out_children: list[list[int]] = []
 
@@ -201,43 +230,67 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
         out_children.append([])
         return len(out_bags) - 1
 
-    def build(nodes: set[int], boundary: tuple[int, ...]) -> int:
-        bbag = td.bags[boundary[0]] | td.bags[boundary[-1]] if boundary else 0
-        if len(nodes) == 1:
-            (only,) = nodes
-            return emit(td.bags[only] | bbag)
-        # root the piece once; removing s leaves its children's subtrees
-        # and, above s, the rest of the piece
-        top = boundary[0] if len(boundary) == 2 else min(nodes)
-        parent = bfs_tree(top, adj, allowed=nodes)
-        size = dict.fromkeys(parent, 1)
-        largest_child = dict.fromkeys(parent, 0)
-        for v in reversed(parent):  # children before their parents
-            if v != top:
-                p = parent[v]
-                size[p] += size[v]
-                largest_child[p] = max(largest_child[p], size[v])
+    def build(stamp: int, top: int, count: int, boundary: tuple[int, ...]) -> int:
+        # the piece is the count nodes stamped stamp; top is boundary[0]
+        # when it has two boundary nodes, else its smallest node
+        nonlocal fresh
+        bbag = bags[boundary[0]] | bags[boundary[-1]] if boundary else 0
+        if count == 1:
+            return emit(bags[top] | bbag)
+        # walk the piece once from top, parents before children; removing
+        # s leaves its children's subtrees and, above s, the rest
+        up[top] = top
+        walk = [top]
+        for v in walk:
+            size[v], largest_child[v], p = 1, 0, up[v]
+            for w in adj[v]:
+                if w != p and piece[w] == stamp:
+                    up[w] = v
+                    walk.append(w)
+        for v in walk[:0:-1]:  # children before their parents
+            p = up[v]
+            size[p] += size[v]
+            if size[v] > largest_child[p]:
+                largest_child[p] = size[v]
         if len(boundary) == 2:  # the path from boundary[0] to boundary[1]
             candidates = [boundary[1]]
             while candidates[-1] != top:
-                candidates.append(parent[candidates[-1]])
+                candidates.append(up[candidates[-1]])
             candidates.reverse()
         else:
-            candidates = sorted(nodes)
+            candidates = sorted(walk)
         # the first candidate whose largest leftover component is smallest
-        s = min(candidates, key=lambda c: max(largest_child[c], len(nodes) - size[c]))
-        root = emit(td.bags[s] | bbag)
-        rest = nodes - {s}
-        subtree_roots: list[int] = []
-        for tree in components(sorted(rest), adj, allowed=rest):
-            comp = set(tree)
-            sub_boundary = tuple(
-                sorted({b for b in boundary if b in comp}
-                       | {w for w in adj[s] if w in comp})
-            )
+        leftover = [max(largest_child[c], count - size[c]) for c in candidates]
+        s = candidates[leftover.index(min(leftover))]
+        root = emit(bags[s] | bbag)
+        # stamp the pieces left from the same walk: a child of s starts
+        # one, and so does top unless it is s; every other node is in its
+        # parent's piece
+        base, heads, lows = fresh, [], []
+        for v in walk:
+            if v == s:
+                continue
+            if v == top or up[v] == s:
+                piece[v] = fresh
+                fresh += 1
+                heads.append(v)
+                lows.append(v)
+            else:
+                k = piece[v] = piece[up[v]]
+                lows[k - base] = min(lows[k - base], v)
+        pieces = []
+        for k, head in enumerate(heads):
+            # the node of the piece next to s, and the piece's size
+            near, count_k = (up[s], count - size[s]) if head == top else (head, size[head])
+            if count_k == 1:  # its bag holds its boundary's, if it has one
+                pieces.append((head, base + k, head, 1, ()))
+                continue
+            sub_boundary = tuple(sorted({b for b in boundary if piece[b] == base + k} | {near}))
             assert len(sub_boundary) <= 2, "separator invariant broken"
-            subtree_roots.append(build(comp, sub_boundary))
-        attach(root, subtree_roots)
+            sub_top = sub_boundary[0] if len(sub_boundary) == 2 else lows[k]
+            pieces.append((lows[k], base + k, sub_top, count_k, sub_boundary))
+        pieces.sort()  # by smallest node
+        attach(root, [build(*args) for _, *args in pieces])
         return root
 
     def attach(node: int, roots: list[int]) -> None:
@@ -255,7 +308,7 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
                 out_children[node].append(spare)
                 attach(spare, group)
 
-    root = build(set(range(td.num_nodes)), ())
+    root = build(0, 0, len(bags), ())
     return TreeDecomposition(
         bags=tuple(out_bags),
         children=tuple(tuple(c) for c in out_children),
@@ -271,6 +324,16 @@ PATTERN_CAP = 1 << 20
 
 class PatternCapError(ValueError):
     """Raised when a DP plan would hold more than ``PATTERN_CAP`` patterns."""
+
+
+# frames one DP plan may run, summed over its nodes: the largest golden
+# entry runs 94,849, a 12 x 12 grid at eps = 1/4 67.6 M and a random 3-CNF
+# at n = 30 82.9 M; at n = 40 (3.2 G frames) the DP ran for over a minute
+FRAME_CAP = 1 << 27
+
+
+class FrameCapError(ValueError):
+    """Raised when a DP plan would run more than ``FRAME_CAP`` frames."""
 
 
 def _patterns(new: int) -> list[int]:
@@ -316,10 +379,11 @@ def _held(tests: list, assign: int) -> int:
     return bits
 
 
-def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[dict, int, int]:
+def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[list, int, int]:
     """Per-node plan of the DP, plus its frame count and peak cells.
 
-    One walk from the root, parents before children.  A clause is owned by
+    One walk from the root, parents before children, filling per-node
+    lists indexed by node id.  A clause is owned by
     the first bag on the walk that holds its vertex: in a valid
     decomposition its occurrence set is a subtree, so that bag is the unique
     shallowest one.  A frame's variables are its bag's variables plus those
@@ -331,14 +395,16 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[dict, int, i
     vars| + 3`` cells, so the peak is the largest root-to-leaf sum of
     charges; both are known before any pattern list exists, and so is the
     number of patterns, 2^|new| per node, which is refused above
-    ``PATTERN_CAP``.
+    ``PATTERN_CAP``, and a plan of more than ``FRAME_CAP`` frames is
+    refused next, so the DP's time is bounded before it starts.
 
-    Then a walk children before parents folds every child with no new
-    variable into its parent: a choice-free frame writes no variable and
-    reads only variables its ancestors set, so its owned clauses join the
-    parent's and its called children take its place.  Only the root and the
-    choosing nodes are called.  ``plan[node]`` is ``(tests, sat, patterns,
-    leaves, calls)``: a clause is bit i of the node's clause list; ``sat[p]``
+    Then, if some child has no new variable, a walk children before parents
+    folds every such child into its parent: a choice-free frame writes no
+    variable and reads only variables its ancestors set, so its owned
+    clauses join the parent's and its called children take its place.  Only
+    the root and the choosing nodes are called, and only their entries of
+    the plan are set.  ``plan[node]`` is ``(tests, sat, patterns, leaves,
+    calls)``: a clause is bit i of the node's clause list; ``sat[p]``
     holds the clauses that pattern p satisfies over the new variables, and
     ``tests`` the halves over inherited variables, tested once per frame.  A
     called child with no called children of its own (a leaf) runs inside
@@ -348,59 +414,65 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[dict, int, i
     node's pattern p).  ``calls`` lists the other called children.
     """
     flat, ends, m = formula.lits.tolist(), formula.offsets.tolist(), formula.m
+    bags, children = td.bags, td.children
     unowned = (1 << m) - 1
-    below: dict[int, int] = {}  # the variables set above a node's children
-    new: dict[int, int] = {}
-    frames: dict[int, int] = {}
-    path_cells: dict[int, int] = {}
-    owned: dict[int, list[tuple[int, int]]] = {}
-    walk = bfs_tree(td.root, td.children)
-    for node, parent in walk.items():
-        bag = td.bags[node]
+    below = [0] * len(bags)  # the variables set above a node
+    frames = [1] * len(bags)
+    path_cells = [0] * len(bags)  # a node's charge plus its ancestors'
+    new = [0] * len(bags)
+    owned: list[list[tuple[int, int]]] = [[] for _ in bags]
+    walk = [td.root]
+    for node in walk:  # breadth first, parents before children
+        bag = bags[node]
         owns = bag & unowned
         unowned ^= owns
         mask = bag >> m
-        owned[node] = []
         while owns:  # clauses by index
             low = owns & -owns
             j = low.bit_length() - 1
-            clause = flat[ends[j] : ends[j + 1]]
-            pos = sum(1 << lit for lit in clause if lit > 0)
-            neg = sum(1 << -lit for lit in clause if lit < 0)
+            pos = neg = 0
+            for lit in flat[ends[j] : ends[j + 1]]:
+                if lit > 0:
+                    pos |= 1 << lit
+                else:
+                    neg |= 1 << -lit
             owned[node].append((pos, neg))
             mask |= pos | neg
             owns ^= low
-        domain = 0 if node == parent else below[parent]
-        new[node] = mask & ~domain
-        below[node] = domain | mask
-        charge = new[node].bit_count() + mask.bit_count() + 3
-        if node == parent:
-            frames[node], path_cells[node] = 1, charge
-        else:
-            frames[node] = frames[parent] << new[parent].bit_count()
-            path_cells[node] = path_cells[parent] + charge
-    patterns = sum(1 << new[node].bit_count() for node in walk)
+        fresh = new[node] = mask & ~below[node]
+        cells = path_cells[node] = path_cells[node] + fresh.bit_count() + mask.bit_count() + 3
+        if kids := children[node]:
+            inner, kid_frames = below[node] | mask, frames[node] << fresh.bit_count()
+            for child in kids:
+                below[child], frames[child], path_cells[child] = inner, kid_frames, cells
+            walk += kids
+    patterns = sum(1 << fresh.bit_count() for fresh in new)
     if patterns > PATTERN_CAP:
         raise PatternCapError(
             f"the DP plan needs {patterns} extension patterns, above the "
             f"pattern cap {PATTERN_CAP}"
         )
-    called: dict[int, list[int]] = {}
-    for node in reversed(walk):  # children before their parents
-        called[node] = []
-        for child in td.children[node]:
-            if new[child]:
-                called[node].append(child)
-            else:
-                owned[node] += owned[child]
-                called[node] += called[child]
+    if (total := sum(frames)) > FRAME_CAP:
+        raise FrameCapError(
+            f"the DP plan needs {total} frames, above the frame cap {FRAME_CAP}"
+        )
+    called: list = list(td.children)
+    if not all(new[node] for node in walk[1:]):  # some child folds
+        for node in reversed(walk):  # children before their parents
+            called[node] = []
+            for child in td.children[node]:
+                if new[child]:
+                    called[node].append(child)
+                else:
+                    owned[node] += owned[child]
+                    called[node] += called[child]
 
     def split_own(node: int) -> tuple[list, list[int], list[int]]:
         pats = _patterns(new[node])
         tests = [(1 << i, pos, neg) for i, (pos, neg) in enumerate(owned[node])]
         return (*_split(tests, new[node], pats), pats)
 
-    plan: dict = {}
+    plan: list = [None] * td.num_nodes
     stack = [td.root]
     while stack:
         node = stack.pop()
@@ -414,7 +486,7 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[dict, int, i
                 ltests, lsat, lpats = split_own(child)
                 leaves.append((*_split(ltests, new[node], pats), lsat, lpats))
         plan[node] = (tests, sat, pats, leaves, calls)
-    return plan, sum(frames.values()), max(path_cells.values())
+    return plan, total, max(path_cells)
 
 
 def bdtw_maxsat(

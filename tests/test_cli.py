@@ -410,3 +410,16 @@ def test_pattern_cap_exits_2(capsys, tmp_path):
     assert "extension patterns, above the pattern cap 5" in capsys.readouterr().err
     cases = [["solve", "--alg", "planar-ptas", "--eps", "1/3", path] for path in paths]
     assert _exit_codes_within_1gb(cases) == [2, 0]
+
+
+def test_frame_cap_exits_2(capsys, tmp_path):
+    # a random 3-CNF at n = 40 passes the pattern cap (131,441 patterns),
+    # but its one wide part's plan would run 3,195,535,361 frames: refused
+    # before the DP starts, where it ran for over a minute
+    path = tmp_path / "random40.cnf"
+    path.write_text(serialize_dimacs(random_formula(random.Random(1), 40, 160, 3)))
+    unbuilt = mock.patch.object(treedp, "_patterns", side_effect=AssertionError("built"))
+    with unbuilt:
+        assert main(["solve", "--alg", "planar-ptas", "--eps", "1/3", str(path)]) == 2
+    assert ("error: the DP plan needs 3195535361 frames, above the frame cap 134217728"
+            in capsys.readouterr().err)

@@ -13,12 +13,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from satmeter.formula import Formula, bfs_tree, eval_assignment, incidence_graph
+from satmeter.formula import Formula, bfs_tree, components, eval_assignment, incidence_graph
 from satmeter.metering import meter_scope, note_pass, tracked
 from satmeter.oracle import exact_maxsat
 from satmeter.planar import gen_planar_instance, partition
 from satmeter import treedp
 from satmeter.treedp import (
+    FrameCapError,
     PatternCapError,
     TreeDecomposition,
     _min_fill_order,
@@ -345,6 +346,14 @@ def _assert_dp_contract(td, formula):
     assert ((val, as_dict(phi)), peak, passes) == _metered(_reference_bdtw, td, formula)
     # the meter: the outer scope opens with no live cells, so its peak and
     # passes are those of the bdtw scope
+    frames, path_peak = _frames_and_peak(td, formula)
+    assert peak == path_peak
+    assert passes == {"decomposition": frames}
+
+
+def _frames_and_peak(td, formula):
+    """The frames the per-frame reference calls, and its peak cells: the
+    largest root-to-leaf sum of len(new) + len(frame vars) + 3."""
     order, parent, _, frame, new = _frames_of(td, formula)
     path_cells, calls = {}, {}
     for node in order:
@@ -352,8 +361,7 @@ def _assert_dp_contract(td, formula):
         cells = len(new[node]) + len(frame[node]) + 3
         path_cells[node] = cells + (path_cells[up] if up is not None else 0)
         calls[node] = 1 if up is None else calls[up] << len(new[up])
-    assert peak == max(path_cells.values())
-    assert passes == {"decomposition": sum(calls.values())}
+    return sum(calls.values()), max(path_cells.values())
 
 
 def test_pattern_cap_refuses_before_any_pattern():
@@ -374,6 +382,27 @@ def test_pattern_cap_refuses_before_any_pattern():
     wide = Formula(n=21, clauses=(tuple(range(1, 22)),))
     with unbuilt, pytest.raises(PatternCapError, match="pattern cap 1048576"):
         bdtw_maxsat(tree_decompose(incidence_graph(wide)), wide)
+
+
+def test_frame_cap_refuses_before_any_pattern():
+    # the cap counts the frames the per-frame reference calls, and refuses
+    # one frame over it before _patterns ever runs
+    f = gen_planar_instance("grid", (3, 3), seed=2)
+    td = rebalance(tree_decompose(incidence_graph(f)))
+    frames, _ = _frames_and_peak(td, f)
+    with mock.patch.object(treedp, "FRAME_CAP", frames):
+        assert bdtw_maxsat(td, f)[0] == exact_maxsat(f)[0]
+    unbuilt = mock.patch.object(treedp, "_patterns", side_effect=AssertionError("built"))
+    with mock.patch.object(treedp, "FRAME_CAP", frames - 1), unbuilt:
+        with pytest.raises(FrameCapError, match=f"needs {frames} frames"):
+            bdtw_maxsat(td, f)
+    # the undecomposed chain of 26 variables: its path decomposition stacks
+    # 201,326,587 frames, over the default cap of 2^27; rebalanced, 11,369
+    chain = gen_planar_instance("chain", 26, seed=26)
+    td = tree_decompose(incidence_graph(chain))
+    with unbuilt, pytest.raises(FrameCapError, match="frame cap 134217728"):
+        bdtw_maxsat(td, chain)
+    assert bdtw_maxsat(rebalance(td), chain)[0] == exact_maxsat(chain)[0]
 
 
 def _with_duplicates(rng, f, copies):
@@ -679,3 +708,125 @@ def test_min_fill_order_matches_reference(shape, copies, seed):
             got = [(ids.name(v), frozenset(map(ids.name, [v, *nbrs])))
                    for v, nbrs in _min_fill_order(comp, graph)]
             assert got == list(_reference_min_fill_order(set(map(ids.name, comp)), spelled))
+
+
+def _reference_rebalance(td):
+    """``rebalance`` as it was before its array walk: one ``bfs_tree`` per
+    piece with dict sizes, and the pieces left without the splitter found by
+    ``components`` over a set copy of the piece."""
+    adj = {v: set() for v in range(td.num_nodes)}
+    for v, cs in enumerate(td.children):
+        for c in cs:
+            adj[v].add(c)
+            adj[c].add(v)
+    out_bags, out_children = [], []
+
+    def emit(bag):
+        out_bags.append(bag)
+        out_children.append([])
+        return len(out_bags) - 1
+
+    def build(nodes, boundary):
+        bbag = td.bags[boundary[0]] | td.bags[boundary[-1]] if boundary else 0
+        if len(nodes) == 1:
+            (only,) = nodes
+            return emit(td.bags[only] | bbag)
+        top = boundary[0] if len(boundary) == 2 else min(nodes)
+        parent = bfs_tree(top, adj, allowed=nodes)
+        size = dict.fromkeys(parent, 1)
+        largest_child = dict.fromkeys(parent, 0)
+        for v in reversed(parent):
+            if v != top:
+                p = parent[v]
+                size[p] += size[v]
+                largest_child[p] = max(largest_child[p], size[v])
+        if len(boundary) == 2:
+            candidates = [boundary[1]]
+            while candidates[-1] != top:
+                candidates.append(parent[candidates[-1]])
+            candidates.reverse()
+        else:
+            candidates = sorted(nodes)
+        s = min(candidates, key=lambda c: max(largest_child[c], len(nodes) - size[c]))
+        root = emit(td.bags[s] | bbag)
+        rest = nodes - {s}
+        subtree_roots = []
+        for tree in components(sorted(rest), adj, allowed=rest):
+            comp = set(tree)
+            sub_boundary = tuple(
+                sorted({b for b in boundary if b in comp}
+                       | {w for w in adj[s] if w in comp})
+            )
+            assert len(sub_boundary) <= 2, "separator invariant broken"
+            subtree_roots.append(build(comp, sub_boundary))
+        attach(root, subtree_roots)
+        return root
+
+    def attach(node, roots):
+        if len(roots) <= 2:
+            out_children[node].extend(roots)
+            return
+        half = len(roots) // 2
+        for group in (roots[:half], roots[half:]):
+            if len(group) == 1:
+                out_children[node].append(group[0])
+            else:
+                spare = emit(out_bags[node])
+                out_children[node].append(spare)
+                attach(spare, group)
+
+    root = build(set(range(td.num_nodes)), ())
+    return TreeDecomposition(
+        bags=tuple(out_bags),
+        children=tuple(tuple(c) for c in out_children),
+        root=root,
+    )
+
+
+@st.composite
+def _random_trees(draw):
+    """A random tree of 1-60 nodes rooted at node 0, with random int-mask
+    bags; in a hub-heavy tree every parent is one of the first three nodes."""
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    n = draw(st.integers(1, 60))
+    hubs = draw(st.booleans())
+    children = [[] for _ in range(n)]
+    for v in range(1, n):
+        children[rng.randrange(min(v, 3) if hubs else v)].append(v)
+    bags = tuple(rng.getrandbits(12) for _ in range(n))
+    return TreeDecomposition(bags, tuple(map(tuple, children)), 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_trees())
+def test_rebalance_matches_reference_random_trees(td):
+    assert rebalance(td) == _reference_rebalance(td)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("random"), st.integers(1, 9), st.integers(0, 24)),
+        st.tuples(st.just("chain"), st.integers(2, 30), st.just(0)),
+        st.tuples(st.just("tree"), st.integers(2, 30), st.just(0)),
+        st.tuples(st.just("grid"), st.integers(1, 5), st.integers(2, 6)),
+    ),
+    st.integers(0, 3),
+    st.integers(0, 2**30),
+)
+@example(("tree", 30, 0), 0, 5)
+@example(("grid", 5, 6), 0, 0)
+def test_rebalance_matches_reference_formulas(shape, copies, seed):
+    kind, a, b = shape
+    rng = random.Random(seed)
+    if kind == "random":
+        f = random_formula(rng, a, b, min(3, a))
+    else:
+        f = gen_planar_instance(kind, (a, b) if kind == "grid" else a, seed=seed)
+    f = _with_duplicates(rng, f, copies)
+    td = tree_decompose(incidence_graph(f))
+    rb, ref = rebalance(td), _reference_rebalance(td)
+    assert rb == ref
+    # the plan compiled on the rebuilt tree runs the reference's frames
+    _, frames, peak = treedp._compile_plan(rb, f)
+    assert (frames, peak) == _frames_and_peak(ref, f)
