@@ -90,13 +90,17 @@ def _min_fill_order(component: set[int], graph: dict[int, list[int]]):
     heap keyed (fill, vertex), and an elimination recounts only the fills it
     can change: its neighbours', and when it had two or more (so it adds
     fill edges among them) their neighbours' too.  A vertex of degree < 2
-    has fill 0 at once, and the neighbour sets are updated in place."""
+    has fill 0 at once, one of degree 2 tests its one pair, and the
+    neighbour sets are updated in place."""
     work = {v: set(graph[v]) for v in component}
 
     def fill(v: int) -> int:
         nbrs = work[v]  # non-adjacent pairs; adjacent ones are seen twice
         if len(nbrs) < 2:
             return 0
+        if len(nbrs) == 2:
+            a, b = nbrs
+            return 0 if a in work[b] else 1
         seen = sum(len(work[w] & nbrs) for w in nbrs)
         return len(nbrs) * (len(nbrs) - 1) // 2 - seen // 2
 
@@ -281,11 +285,16 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
         pieces = []
         for k, head in enumerate(heads):
             # the node of the piece next to s, and the piece's size
-            near, count_k = (up[s], count - size[s]) if head == top else (head, size[head])
+            if head == top:  # the rest of the piece, above s
+                near, count_k = up[s], count - size[s]
+            else:
+                near, count_k = head, size[head]
             if count_k == 1:  # its bag holds its boundary's, if it has one
                 pieces.append((head, base + k, head, 1, ()))
                 continue
-            sub_boundary = tuple(sorted({b for b in boundary if piece[b] == base + k} | {near}))
+            sub_boundary = tuple(
+                sorted({b for b in boundary if piece[b] == base + k} | {near})
+            )
             assert len(sub_boundary) <= 2, "separator invariant broken"
             sub_top = sub_boundary[0] if len(sub_boundary) == 2 else lows[k]
             pieces.append((lows[k], base + k, sub_top, count_k, sub_boundary))
@@ -382,36 +391,35 @@ def _held(tests: list, assign: int) -> int:
 def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[list, int, int]:
     """Per-node plan of the DP, plus its frame count and peak cells.
 
-    One walk from the root, parents before children, filling per-node
-    lists indexed by node id.  A clause is owned by
-    the first bag on the walk that holds its vertex: in a valid
-    decomposition its occurrence set is a subtree, so that bag is the unique
-    shallowest one.  A frame's variables are its bag's variables plus those
-    of its owned clauses, and its inherited assignment always covers the
-    union of its ancestors' frame variables, so the new variables it extends
-    are fixed by the tree.  Variable sets are int masks, bit ``v`` for
-    ``x_v``: a bag's are ``bag >> m``.  A node's frames are its parent's
-    frames times 2^|parent's new|, and a frame charges ``|new| + |frame
-    vars| + 3`` cells, so the peak is the largest root-to-leaf sum of
-    charges; both are known before any pattern list exists, and so is the
-    number of patterns, 2^|new| per node, which is refused above
-    ``PATTERN_CAP``, and a plan of more than ``FRAME_CAP`` frames is
-    refused next, so the DP's time is bounded before it starts.
+    One walk from the root, parents before children, fills lists indexed by
+    node id.  A clause is owned by the first bag on the walk that holds its
+    vertex: in a valid decomposition its occurrence set is a subtree, so
+    that bag is the unique shallowest one.  A frame's variables are its
+    bag's variables plus those of its owned clauses, and its inherited
+    assignment always covers the union of its ancestors' frame variables,
+    so the new variables it extends are fixed by the tree.  Variable sets
+    are int masks, bit ``v`` for ``x_v``: a bag's are ``bag >> m``.  A
+    node's frames are its parent's frames times 2^|parent's new|, and a
+    frame charges ``|new| + |frame vars| + 3`` cells, so the peak is the
+    largest root-to-leaf sum of charges; both are known before any pattern
+    list exists, and so is the number of patterns, 2^|new| per node, which
+    is refused above ``PATTERN_CAP``.  A plan of more than ``FRAME_CAP``
+    frames is refused next, so the DP's time is bounded before it starts.
 
-    Then, if some child has no new variable, a walk children before parents
-    folds every such child into its parent: a choice-free frame writes no
-    variable and reads only variables its ancestors set, so its owned
-    clauses join the parent's and its called children take its place.  Only
-    the root and the choosing nodes are called, and only their entries of
-    the plan are set.  ``plan[node]`` is ``(tests, sat, patterns, leaves,
-    calls)``: a clause is bit i of the node's clause list; ``sat[p]``
-    holds the clauses that pattern p satisfies over the new variables, and
-    ``tests`` the halves over inherited variables, tested once per frame.  A
-    called child with no called children of its own (a leaf) runs inside
-    the node's extension loop: ``leaves`` holds per leaf ``(above, pp, sat,
-    patterns)``, its clauses split again at the node's new variables into
-    ``above`` (tested once per node frame) and ``pp[p]`` (satisfied by the
-    node's pattern p).  ``calls`` lists the other called children.
+    Then a walk children before parents folds every child with no new
+    variable into its parent: a choice-free frame writes no variable and
+    reads only variables its ancestors set, so its owned clauses join the
+    parent's and its called children take its place.  Only the root and the
+    choosing nodes are called, and only their entries of the plan are set.
+    ``plan[node]`` is ``(tests, sat, patterns, leaves, calls)``: a clause is
+    bit i of the node's clause list; ``sat[p]`` holds the clauses that
+    pattern p satisfies over the new variables, and ``tests`` the halves
+    over inherited variables, tested once per frame.  A called child with no
+    called children of its own (a leaf) runs inside the node's extension
+    loop: ``leaves`` holds per leaf ``(above, pp, sat, patterns)``, its
+    clauses split again at the node's new variables into ``above`` (tested
+    once per node frame) and ``pp[p]`` (satisfied by the node's pattern p).
+    ``calls`` lists the other called children.
     """
     flat, ends, m = formula.lits.tolist(), formula.offsets.tolist(), formula.m
     bags, children = td.bags, td.children
@@ -440,11 +448,12 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[list, int, i
             mask |= pos | neg
             owns ^= low
         fresh = new[node] = mask & ~below[node]
-        cells = path_cells[node] = path_cells[node] + fresh.bit_count() + mask.bit_count() + 3
+        path_cells[node] += fresh.bit_count() + mask.bit_count() + 3
         if kids := children[node]:
             inner, kid_frames = below[node] | mask, frames[node] << fresh.bit_count()
             for child in kids:
-                below[child], frames[child], path_cells[child] = inner, kid_frames, cells
+                below[child], frames[child] = inner, kid_frames
+                path_cells[child] = path_cells[node]
             walk += kids
     patterns = sum(1 << fresh.bit_count() for fresh in new)
     if patterns > PATTERN_CAP:
@@ -456,23 +465,21 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[list, int, i
         raise FrameCapError(
             f"the DP plan needs {total} frames, above the frame cap {FRAME_CAP}"
         )
-    called: list = list(td.children)
-    if not all(new[node] for node in walk[1:]):  # some child folds
-        for node in reversed(walk):  # children before their parents
-            called[node] = []
-            for child in td.children[node]:
-                if new[child]:
-                    called[node].append(child)
-                else:
-                    owned[node] += owned[child]
-                    called[node] += called[child]
+    called: list[list[int]] = [[] for _ in bags]
+    for node in reversed(walk):  # children before their parents
+        for child in children[node]:
+            if new[child]:
+                called[node].append(child)
+            else:
+                owned[node] += owned[child]
+                called[node] += called[child]
 
     def split_own(node: int) -> tuple[list, list[int], list[int]]:
         pats = _patterns(new[node])
         tests = [(1 << i, pos, neg) for i, (pos, neg) in enumerate(owned[node])]
         return (*_split(tests, new[node], pats), pats)
 
-    plan: list = [None] * td.num_nodes
+    plan: list = [None] * len(bags)
     stack = [td.root]
     while stack:
         node = stack.pop()

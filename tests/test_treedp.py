@@ -13,7 +13,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from satmeter.formula import Formula, bfs_tree, components, eval_assignment, incidence_graph
+from satmeter.formula import (
+    Formula,
+    bfs_tree,
+    components,
+    eval_assignment,
+    incidence_graph,
+)
 from satmeter.metering import meter_scope, note_pass, tracked
 from satmeter.oracle import exact_maxsat
 from satmeter.planar import gen_planar_instance, partition
