@@ -241,6 +241,11 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
         bbag = bags[boundary[0]] | bags[boundary[-1]] if boundary else 0
         if count == 1:
             return emit(bags[top] | bbag)
+        if count == 2:  # either node leaves one: s is the smaller
+            other = next(w for w in adj[top] if piece[w] == stamp)
+            root = emit(bags[min(top, other)] | bbag)
+            out_children[root].append(emit(bags[max(top, other)]))
+            return root
         # walk the piece once from top, parents before children; removing
         # s leaves its children's subtrees and, above s, the rest
         up[top] = top
