@@ -235,8 +235,8 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
         return len(out_bags) - 1
 
     def build(stamp: int, top: int, count: int, boundary: tuple[int, ...]) -> int:
-        # the piece is the count nodes stamped stamp; top is boundary[0]
-        # when it has two boundary nodes, else its smallest node
+        # the piece is the count nodes stamped stamp; top is boundary[0],
+        # or any node of the piece when it has no boundary
         nonlocal fresh
         bbag = bags[boundary[0]] | bags[boundary[-1]] if boundary else 0
         if count == 1:
@@ -301,8 +301,7 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
                 sorted({b for b in boundary if piece[b] == base + k} | {near})
             )
             assert len(sub_boundary) <= 2, "separator invariant broken"
-            sub_top = sub_boundary[0] if len(sub_boundary) == 2 else lows[k]
-            pieces.append((lows[k], base + k, sub_top, count_k, sub_boundary))
+            pieces.append((lows[k], base + k, sub_boundary[0], count_k, sub_boundary))
         pieces.sort()  # by smallest node
         attach(root, [build(*args) for _, *args in pieces])
         return root
