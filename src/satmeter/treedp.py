@@ -4,7 +4,7 @@
 (no optimality promise, widths stay small on layer-bounded parts),
 ``validate_td`` checks a decomposition against the formula's clauses,
 ``rebalance`` rebuilds any valid decomposition into a rooted binary one of
-logarithmic depth with bag size at most tripled (a splitter's pieces hang
+O(log^2 n) depth with bag size at most tripled (a splitter's pieces hang
 under a balanced binary tree of copies of its bag), and ``bdtw_maxsat``
 recursively enumerates bag-variable extensions to compute an exact optimum
 with a witnessing assignment.  The PTAS driver stitches these together over
@@ -197,7 +197,7 @@ def validate_td(
 
 
 def rebalance(td: TreeDecomposition) -> TreeDecomposition:
-    """Binary, log-depth rebuild; bag sizes grow at most threefold.
+    """Binary rebuild of O(log^2 n) depth; bag sizes grow at most threefold.
 
     Recursive separator scheme: remove a splitter node s (a centroid, or a
     node on the path between the current piece's two boundary attachment
@@ -206,8 +206,8 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
     boundary nodes, so bags union at most three original bags.  The roots
     of a splitter's c pieces hang under a count-balanced binary tree of
     c - 2 copies of its bag, which adds ceil(log2 c) - 1 levels, not the
-    c - 2 of a chain (Bodlaender & Hagerup, SIAM J. Comput. 1998, weight
-    that split by piece size as well).
+    c - 2 of a chain.  Bodlaender & Hagerup (SIAM J. Comput. 1998) weight
+    that split by piece size as well, for O(log n) depth.
 
     Each piece is walked once, from its top, over list-indexed arrays
     (adjacency, parent, subtree size, largest child) that every piece
