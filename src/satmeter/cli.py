@@ -1,9 +1,10 @@
 """Batch front door: parse, solve, partition, audit; JSON reports out.
 
-Exit codes: 0 success, 2 input error (n above ``formula.MAX_VARS``, a
-padded clause layout over ``formula.PACK_CELL_CAP``, n over the oracle's
-variable cap, or a DP plan over ``treedp.PATTERN_CAP`` extension patterns,
-is one), 3 internal invariant violation.
+Exit codes: 0 success, 2 input error (n above ``formula.MAX_VARS`` is one)
+or a ``formula.CapError`` (a padded clause layout over
+``formula.PACK_CELL_CAP``, n over ``oracle.ORACLE_VAR_CAP``, a DP plan over
+``treedp.PATTERN_CAP`` patterns or ``treedp.FRAME_CAP`` frames, a ``bias``
+input over ``BIAS_VAR_CAP`` variables), 3 internal invariant violation.
 Reports are deterministic for fixed inputs apart from the timestamp field
 and the `oracle` command's runtime_seconds.
 """
@@ -25,7 +26,7 @@ from satmeter import oracle as orc
 from satmeter.biased import bias_profile, chou_solve
 from satmeter.hashfam import HashFamilySpec, _candidate_chunks, smallest_prime_geq
 from satmeter.planar import gen_planar_instance, partition, verify_partition
-from satmeter.treedp import FrameCapError, PatternCapError, planar_ptas
+from satmeter.treedp import planar_ptas
 from satmeter.twosat import SolveResult, half_approx, ls_solve
 
 SCHEMA_VERSION = 1
@@ -33,6 +34,10 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# the bias report lists every per-variable bias: at 2^22 variables it peaks
+# at about 0.8 GB, and at 2^23 it ran out of a 1.5 GB address space
+BIAS_VAR_CAP = 1 << 22
 
 
 class InputError(Exception):
@@ -157,6 +162,8 @@ def cmd_solve(args) -> int:
 
 def cmd_bias(args) -> int:
     formula = _read_formula(args.file)
+    if formula.n > BIAS_VAR_CAP:
+        raise fm.CapError(f"n={formula.n} exceeds the bias cap {BIAS_VAR_CAP}")
     profile = bias_profile(formula)
     report = _base_report(formula)
     report["bias"] = {
@@ -331,8 +338,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, orc.OracleCapError, fm.PackCapError, PatternCapError,
-            FrameCapError) as exc:
+    except (InputError, fm.CapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ZeroDivisionError, AssertionError) as exc:

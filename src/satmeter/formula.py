@@ -37,6 +37,11 @@ class FormulaError(ValueError):
     """Raised on malformed DIMACS input or invalid formula structure."""
 
 
+class CapError(ValueError):
+    """Raised when an input is over a documented size cap, checked before
+    the work the cap guards allocates anything; the CLI exits 2 on it."""
+
+
 def csr_offsets(widths) -> np.ndarray:
     """Clause offsets for the given clause widths: 0, then running sums."""
     return np.concatenate(([0], np.cumsum(widths, dtype=np.int64)))
@@ -387,10 +392,6 @@ def components(starts, neighbors, allowed=None):
 PACK_CELL_CAP = 1 << 24
 
 
-class PackCapError(ValueError):
-    """Raised when the padded clause layout would exceed ``PACK_CELL_CAP``."""
-
-
 @dataclass(frozen=True)
 class PackedClauses:
     """Numpy layout for batched clause evaluation.
@@ -417,7 +418,7 @@ def pack_clauses(formula: Formula) -> PackedClauses:
     widths, offsets = formula.widths, formula.offsets
     slots = np.arange(int(widths.max()) if widths.size else 1)
     if formula.m * slots.size > PACK_CELL_CAP:
-        raise PackCapError(
+        raise CapError(
             f"{formula.m} clauses padded to width {slots.size} exceed "
             f"pack cap {PACK_CELL_CAP} cells"
         )

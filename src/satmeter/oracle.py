@@ -24,15 +24,11 @@ from itertools import pairwise
 
 import numpy as np
 
-from satmeter.formula import Assignment, Formula
+from satmeter.formula import Assignment, CapError, Formula
 
 ORACLE_VAR_CAP = 26
 _BLOCK_BITS = 20  # enumerate assignments in blocks of 2^20 rows
 _INNER_BITS = 10  # a block's last variables, one contiguous axis
-
-
-class OracleCapError(ValueError):
-    """Raised when a formula exceeds the brute-force variable cap."""
 
 
 def _restrict(
@@ -66,7 +62,7 @@ def exact_maxsat(formula: Formula) -> tuple[int, Assignment]:
     """(OPT, witness); ties broken by lexicographically smallest witness."""
     n = formula.n
     if n > ORACLE_VAR_CAP:
-        raise OracleCapError(f"n={n} exceeds oracle cap {ORACLE_VAR_CAP}")
+        raise CapError(f"n={n} exceeds oracle cap {ORACLE_VAR_CAP}")
     if formula.m == 0:
         return 0, np.zeros(n, dtype=bool)
     low = min(n, _BLOCK_BITS)

@@ -25,11 +25,16 @@ the variables it sets, and the rest of each clause is tested once per
 frame.  A frame with one extension pattern writes no variable, and a leaf
 frame (one with no called children) makes no call of its own, so both run
 inside their parent's extension loop rather than as calls of their own.
-Metering contract: one frame is one ``decomposition`` pass, folded and leaf
-frames included, and a frame's cells are live while it and the frames below
-it on the recursion path run; frames and peak cells are derived from the
-variables each node extends, before any pattern is built, and a plan of
-more than ``PATTERN_CAP`` patterns or ``FRAME_CAP`` frames is refused there.
+
+Frame contract: a frame returns its best count and its bits, the variables
+set to 1 by its first best extension and by the frames below it, so the
+root's bits are the assignment.  One frame is one ``decomposition`` pass,
+folded and leaf frames included.  A frame charges ``|new| + |frame vars| +
+3`` cells, live while it and the frames below it on the recursion path run,
+so the peak is the largest root-to-leaf sum of charges.  Frames, peak cells
+and patterns are counted from the variables each node extends, before any
+pattern is built, and a plan of more than ``PATTERN_CAP`` patterns or
+``FRAME_CAP`` frames is refused there with ``CapError``.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import numpy as np
 
 from satmeter.formula import (
     Assignment,
+    CapError,
     Formula,
     bfs_tree,
     components,
@@ -334,19 +340,10 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
 # n = 40 (one part of width 21) 131,441; a list of 2^20 patterns is 40 MiB
 PATTERN_CAP = 1 << 20
 
-
-class PatternCapError(ValueError):
-    """Raised when a DP plan would hold more than ``PATTERN_CAP`` patterns."""
-
-
 # frames one DP plan may run, summed over its nodes: the largest golden
 # entry runs 94,849, a 12 x 12 grid at eps = 1/4 67.6 M and a random 3-CNF
 # at n = 30 82.9 M; at n = 40 (3.2 G frames) the DP ran for over a minute
 FRAME_CAP = 1 << 27
-
-
-class FrameCapError(ValueError):
-    """Raised when a DP plan would run more than ``FRAME_CAP`` frames."""
 
 
 def _patterns(new: int) -> list[int]:
@@ -403,12 +400,9 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[list, int, i
     assignment always covers the union of its ancestors' frame variables,
     so the new variables it extends are fixed by the tree.  Variable sets
     are int masks, bit ``v`` for ``x_v``: a bag's are ``bag >> m``.  A
-    node's frames are its parent's frames times 2^|parent's new|, and a
-    frame charges ``|new| + |frame vars| + 3`` cells, so the peak is the
-    largest root-to-leaf sum of charges; both are known before any pattern
-    list exists, and so is the number of patterns, 2^|new| per node, which
-    is refused above ``PATTERN_CAP``.  A plan of more than ``FRAME_CAP``
-    frames is refused next, so the DP's time is bounded before it starts.
+    node's frames are its parent's frames times 2^|parent's new| and its
+    patterns 2^|new|, so the caps of the frame contract are checked before
+    any pattern list exists.
 
     Then a walk children before parents folds every child with no new
     variable into its parent: a choice-free frame writes no variable and
@@ -461,12 +455,12 @@ def _compile_plan(td: TreeDecomposition, formula: Formula) -> tuple[list, int, i
             walk += kids
     patterns = sum(1 << fresh.bit_count() for fresh in new)
     if patterns > PATTERN_CAP:
-        raise PatternCapError(
+        raise CapError(
             f"the DP plan needs {patterns} extension patterns, above the "
             f"pattern cap {PATTERN_CAP}"
         )
     if (total := sum(frames)) > FRAME_CAP:
-        raise FrameCapError(
+        raise CapError(
             f"the DP plan needs {total} frames, above the frame cap {FRAME_CAP}"
         )
     called: list[list[int]] = [[] for _ in bags]
@@ -516,70 +510,48 @@ def bdtw_maxsat(
     The per-node plan is compiled once per call.  The assignment is one int,
     bit ``v`` for ``x_v``, passed down by value; a frame scores extension
     pattern p as ``(held | sat[p]).bit_count()``, where ``held`` holds the
-    owned clauses its inherited variables satisfy, tested once per frame.
-    A frame keeps its best extension as ``(pattern index, leaf pattern
-    indices, child witnesses)``, which becomes an assignment only at the
-    root.  A frame with one extension pattern runs inside its parent's
-    extension loop, and so does a leaf frame, one with no called children;
-    either is scored once per parent extension as before, so the count, the
-    assignment and the tie-break are unchanged.
-
-    Metering: one frame is one ``decomposition`` pass, folded and leaf
-    frames included, and a frame holds ``len(new) + len(frame vars) + 3``
-    cells while it and its descendants run, so the live cells are those of
-    the frames on the recursion path.  Frames and the peak live cells are
-    derived from the compiled plan and declared once, inside the ``bdtw``
-    scope, when the root returns.
+    owned clauses its inherited variables satisfy, tested once per frame,
+    and returns its count and bits as the module's frame contract says.
+    Frames and the peak live cells come from the compiled plan and are
+    declared once, inside the ``bdtw`` scope, when the root returns.
     """
     ok, witness = validate_td(formula, td)
     if not ok:
         raise ValueError(f"invalid tree decomposition: {witness}")
     plan, frames, peak = _compile_plan(td, formula)
 
-    def solve(node: int, assign: int) -> tuple[int, tuple]:
+    def solve(node: int, assign: int) -> tuple[int, int]:
         tests, sat, pats, leaves, calls = plan[node]
         held = _held(tests, assign)
-        legs = [(_held(above, assign), pp, lsat) for above, pp, lsat, _ in leaves]
-        best_val = -1
-        best: tuple = ()
+        legs = [(_held(above, assign), pp, lsat, lpats)
+                for above, pp, lsat, lpats in leaves]
+        best_val = best_bits = -1
         for p, pat in enumerate(pats):
             val = (held | sat[p]).bit_count()
-            qs = []
-            for top, pp, lsat in legs:
+            bits = pat
+            for top, pp, lsat, lpats in legs:
                 lheld = top | pp[p]
                 lval = -1
                 for q, s in enumerate(lsat):
                     if (c := (lheld | s).bit_count()) > lval:
                         lval, lq = c, q
                 val += lval
-                qs.append(lq)
-            witnesses = []
+                bits |= lpats[lq]
             for child in calls:
-                cval, cwit = solve(child, assign | pat)
+                cval, cbits = solve(child, assign | pat)
                 val += cval
-                witnesses.append(cwit)
+                bits |= cbits
             if val > best_val:
-                best_val = val
-                best = (p, qs, witnesses)
-        return best_val, best
-
-    def unfold(node: int, wit: tuple) -> int:
-        p, qs, witnesses = wit
-        _, _, pats, leaves, calls = plan[node]
-        assign = pats[p]
-        for (*_, lpats), q in zip(leaves, qs):
-            assign |= lpats[q]
-        for child, cwit in zip(calls, witnesses):
-            assign |= unfold(child, cwit)
-        return assign
+                best_val, best_bits = val, bits
+        return best_val, best_bits
 
     with meter_scope("bdtw"):
-        val, wit = solve(td.root, 0)
+        val, assign = solve(td.root, 0)
         note_pass("decomposition", frames)
         alloc_cells(peak)
         free_cells(peak)
     n = formula.n  # bits 1..n of the root's int are x_1..x_n
-    bits = np.frombuffer(unfold(td.root, wit).to_bytes(n // 8 + 1, "little"), np.uint8)
+    bits = np.frombuffer(assign.to_bytes(n // 8 + 1, "little"), np.uint8)
     return val, np.unpackbits(bits, bitorder="little")[1 : n + 1] == 1
 
 

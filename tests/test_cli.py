@@ -293,6 +293,18 @@ def test_oracle_cap_exits_2(capsys, tmp_path):
         assert "exceeds oracle cap" in capsys.readouterr().err
 
 
+def test_bias_cap_exits_2(capsys, tmp_path):
+    # the bias report lists every per-variable bias, so n is capped before
+    # the profile is built; n at the cap still reports
+    six = tmp_path / "six.cnf"
+    six.write_text("p cnf 6 1\n1 0\n")
+    with mock.patch.object(cli, "BIAS_VAR_CAP", 5):
+        assert main(["bias", str(six)]) == 2
+    assert "error: n=6 exceeds the bias cap 5" in capsys.readouterr().err
+    with mock.patch.object(cli, "BIAS_VAR_CAP", 6):
+        assert main(["bias", str(six)]) == 0
+
+
 def test_huge_band_modulus_runs(capsys, tmp_path):
     # k = 2 * 10**13: far more residues than triples, none allocated
     chain = tmp_path / "chain20.cnf"
@@ -386,6 +398,8 @@ def test_exact_integers_print_in_full(capsys, tmp_path):
 def test_pack_cap_exits_2(capsys, tmp_path, tri_path):
     # the padded (m, max width) layout is checked before it is allocated
     with mock.patch.object(fm, "PACK_CELL_CAP", 5):
+        with pytest.raises(fm.CapError, match="exceed pack cap 5 cells"):
+            fm.pack_clauses(parse_dimacs(TRI))
         assert main(["solve", "--alg", "ls", tri_path]) == 2
     assert "error: 3 clauses padded to width 2 exceed pack cap 5 cells" in capsys.readouterr().err
     # 12,001 clauses padded to width 12,000 would take 1.07 GiB per int64

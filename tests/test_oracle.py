@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satmeter import oracle
-from satmeter.formula import Formula, eval_assignment
+from satmeter.formula import CapError, Formula, eval_assignment
 from satmeter.hashfam import HashFamilySpec
 from satmeter.oracle import (
     ORACLE_VAR_CAP,
-    OracleCapError,
     exact_maxsat,
     expected_satisfied,
 )
@@ -37,7 +36,7 @@ def test_exact_examples():
 
 def test_oracle_cap():
     f = Formula(n=ORACLE_VAR_CAP + 1, clauses=((1,),))
-    with pytest.raises(OracleCapError):
+    with pytest.raises(CapError):
         exact_maxsat(f)
 
 

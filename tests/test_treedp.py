@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from satmeter.formula import (
+    CapError,
     Formula,
     bfs_tree,
     components,
@@ -25,8 +26,6 @@ from satmeter.oracle import exact_maxsat
 from satmeter.planar import gen_planar_instance, partition
 from satmeter import treedp
 from satmeter.treedp import (
-    FrameCapError,
-    PatternCapError,
     TreeDecomposition,
     _min_fill_order,
     _renumbered,
@@ -381,12 +380,12 @@ def test_pattern_cap_refuses_before_any_pattern():
         assert bdtw_maxsat(td, f)[0] == exact_maxsat(f)[0]
     unbuilt = mock.patch.object(treedp, "_patterns", side_effect=AssertionError("built"))
     with mock.patch.object(treedp, "PATTERN_CAP", patterns - 1), unbuilt:
-        with pytest.raises(PatternCapError, match=f"needs {patterns} extension patterns"):
+        with pytest.raises(CapError, match=f"needs {patterns} extension patterns"):
             bdtw_maxsat(td, f)
     # one 21-literal clause: its owner extends 20 variables, 2^20 patterns
     # plus those of the other nodes, over the default cap of 2^20
     wide = Formula(n=21, clauses=(tuple(range(1, 22)),))
-    with unbuilt, pytest.raises(PatternCapError, match="pattern cap 1048576"):
+    with unbuilt, pytest.raises(CapError, match="pattern cap 1048576"):
         bdtw_maxsat(tree_decompose(incidence_graph(wide)), wide)
 
 
@@ -400,13 +399,13 @@ def test_frame_cap_refuses_before_any_pattern():
         assert bdtw_maxsat(td, f)[0] == exact_maxsat(f)[0]
     unbuilt = mock.patch.object(treedp, "_patterns", side_effect=AssertionError("built"))
     with mock.patch.object(treedp, "FRAME_CAP", frames - 1), unbuilt:
-        with pytest.raises(FrameCapError, match=f"needs {frames} frames"):
+        with pytest.raises(CapError, match=f"needs {frames} frames"):
             bdtw_maxsat(td, f)
     # the undecomposed chain of 26 variables: its path decomposition stacks
     # 201,326,587 frames, over the default cap of 2^27; rebalanced, 11,369
     chain = gen_planar_instance("chain", 26, seed=26)
     td = tree_decompose(incidence_graph(chain))
-    with unbuilt, pytest.raises(FrameCapError, match="frame cap 134217728"):
+    with unbuilt, pytest.raises(CapError, match="frame cap 134217728"):
         bdtw_maxsat(td, chain)
     assert bdtw_maxsat(rebalance(td), chain)[0] == exact_maxsat(chain)[0]
 
