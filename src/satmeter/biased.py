@@ -169,9 +169,9 @@ def chou_solve(formula: Formula) -> SolveResult:
                 with tracked(max(formula.r, 1)):  # candidate coefficients
                     outcome = chou_search(fprime, profile)
                 branch = "family-search"
-                note_pass("posbias", 2)
-                if outcome.count >= eval_assignment(fprime, phi):
-                    phi = outcome.assignment
+                # family index 0 is the all-ones row (t >= 1), so the
+                # search's pick satisfies at least as many clauses
+                phi = outcome.assignment
             phi ^= profile.neg[1:]  # back-transform
             count = eval_assignment(formula, phi)
     details = {

@@ -3,9 +3,9 @@
 ``tree_decompose`` runs min-fill elimination on the incidence adjacency dict
 (no optimality promise, widths stay small on layer-bounded parts),
 ``validate_td`` checks a decomposition against the formula's clauses,
-``rebalance`` rebuilds any valid decomposition into a rooted binary one of
-O(log^2 n) depth with bag size at most tripled (a splitter's pieces hang
-under a balanced binary tree of copies of its bag), and ``bdtw_maxsat``
+``rebalance`` rebuilds any valid decomposition into a shallow rooted one
+with bag size at most tripled (a splitter's pieces hang directly under its
+node, so the depth is that of the separator recursion), and ``bdtw_maxsat``
 recursively enumerates bag-variable extensions to compute an exact optimum
 with a witnessing assignment.  The PTAS driver stitches these together over
 the band partition.  A vertex is an int id (clause j is j - 1, x_i is m + i)
@@ -203,17 +203,16 @@ def validate_td(
 
 
 def rebalance(td: TreeDecomposition) -> TreeDecomposition:
-    """Binary rebuild of O(log^2 n) depth; bag sizes grow at most threefold.
+    """Shallow rebuild; bag sizes grow at most threefold.
 
     Recursive separator scheme: remove a splitter node s (a centroid, or a
     node on the path between the current piece's two boundary attachment
     points), root the piece at the union of B_s with the boundary bags, and
     recurse into the remaining components.  Every piece carries at most two
     boundary nodes, so bags union at most three original bags.  The roots
-    of a splitter's c pieces hang under a count-balanced binary tree of
-    c - 2 copies of its bag, which adds ceil(log2 c) - 1 levels, not the
-    c - 2 of a chain.  Bodlaender & Hagerup (SIAM J. Comput. 1998) weight
-    that split by piece size as well, for O(log n) depth.
+    of a splitter's pieces hang directly under its node, however many there
+    are: the DP runs any number of children, so the tree need not be binary
+    and holds no bag copies, and its depth is the separator recursion's.
 
     Each piece is walked once, from its top, over list-indexed arrays
     (adjacency, parent, subtree size, largest child) that every piece
@@ -309,23 +308,8 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
             assert len(sub_boundary) <= 2, "separator invariant broken"
             pieces.append((lows[k], base + k, sub_boundary[0], count_k, sub_boundary))
         pieces.sort()  # by smallest node
-        attach(root, [build(*args) for _, *args in pieces])
+        out_children[root].extend(build(*args) for _, *args in pieces)
         return root
-
-    def attach(node: int, roots: list[int]) -> None:
-        # hang the roots under a count-balanced binary tree of copies of
-        # node's bag, so c roots add ceil(log2 c) - 1 levels
-        if len(roots) <= 2:
-            out_children[node].extend(roots)
-            return
-        half = len(roots) // 2
-        for group in (roots[:half], roots[half:]):
-            if len(group) == 1:
-                out_children[node].append(group[0])
-            else:
-                spare = emit(out_bags[node])
-                out_children[node].append(spare)
-                attach(spare, group)
 
     root = build(0, 0, len(bags), ())
     return TreeDecomposition(
@@ -336,13 +320,13 @@ def rebalance(td: TreeDecomposition) -> TreeDecomposition:
 
 
 # extension patterns one DP plan may hold, summed over its nodes: the
-# widest part of a ptas-grid instance needs 193, and a random 3-CNF at
-# n = 40 (one part of width 21) 131,441; a list of 2^20 patterns is 40 MiB
+# widest part of a ptas-grid instance needs 159, and a random 3-CNF at
+# n = 40 (one part of width 21) 131,321; a list of 2^20 patterns is 40 MiB
 PATTERN_CAP = 1 << 20
 
 # frames one DP plan may run, summed over its nodes: the largest golden
-# entry runs 94,849, a 12 x 12 grid at eps = 1/4 67.6 M and a random 3-CNF
-# at n = 30 82.9 M; at n = 40 (3.2 G frames) the DP ran for over a minute
+# entry runs 74,913, a 12 x 12 grid at eps = 1/4 53.6 M and a random 3-CNF
+# at n = 30 49.4 M; at n = 40 (1.9 G frames) the DP ran for over a minute
 FRAME_CAP = 1 << 27
 
 
@@ -570,11 +554,13 @@ def solve_part_exact(part: Formula) -> tuple[int, np.ndarray, Assignment, dict[s
     (value, the part's variables ``used``, their values, info)."""
     compact, used = _renumbered(part)
     td = rebalance(tree_decompose(incidence_graph(compact)))
-    val, phi = bdtw_maxsat(td, compact)
+    with meter_scope("part") as sc:
+        val, phi = bdtw_maxsat(td, compact)
     info = {
         "width": td.width,
         "depth": td.depth,
         "dp_nodes": td.num_nodes,
+        "dp_frames": sc.report.pass_counts["decomposition"],
         "clauses": part.m,
     }
     return val, used, phi, info

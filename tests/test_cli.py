@@ -412,7 +412,7 @@ def test_pack_cap_exits_2(capsys, tmp_path, tri_path):
 
 def test_pattern_cap_exits_2(capsys, tmp_path):
     # random 3-CNFs through the PTAS at eps 1/3: at n = 60 one part's plan
-    # would hold 1,073,742,354 extension patterns, refused before any is
+    # would hold 1,073,742,168 extension patterns, refused before any is
     # built; at n = 20 the plan stays under the cap
     paths = []
     for n in (60, 20):
@@ -427,13 +427,13 @@ def test_pattern_cap_exits_2(capsys, tmp_path):
 
 
 def test_frame_cap_exits_2(capsys, tmp_path):
-    # a random 3-CNF at n = 40 passes the pattern cap (131,441 patterns),
-    # but its one wide part's plan would run 3,195,535,361 frames: refused
+    # a random 3-CNF at n = 40 passes the pattern cap (131,321 patterns),
+    # but its one wide part's plan would run 1,945,108,481 frames: refused
     # before the DP starts, where it ran for over a minute
     path = tmp_path / "random40.cnf"
     path.write_text(serialize_dimacs(random_formula(random.Random(1), 40, 160, 3)))
     unbuilt = mock.patch.object(treedp, "_patterns", side_effect=AssertionError("built"))
     with unbuilt:
         assert main(["solve", "--alg", "planar-ptas", "--eps", "1/3", str(path)]) == 2
-    assert ("error: the DP plan needs 3195535361 frames, above the frame cap 134217728"
+    assert ("error: the DP plan needs 1945108481 frames, above the frame cap 134217728"
             in capsys.readouterr().err)

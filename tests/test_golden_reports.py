@@ -29,7 +29,7 @@ GOLDEN = Path(__file__).with_name("golden_reports.json")
 INSTANCES = {
     "chain12-seed4": lambda: gen_planar_instance("chain", 12, seed=4),
     "grid4x4": lambda: gen_planar_instance("grid", (4, 4), seed=0),
-    # one part, 94,849 DP frames: pins the DP's peak cells and frame count
+    # one part, 74,913 DP frames: pins the DP's peak cells and frame count
     "grid5x6": lambda: gen_planar_instance("grid", (5, 6), seed=0),
     # nine parts at k = 10: per-part witnesses merged across parts
     "tree300-seed2": lambda: gen_planar_instance("tree", 300, seed=2),

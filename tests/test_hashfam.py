@@ -156,6 +156,27 @@ def test_batch_chunking_matches_full_block():
     assert np.array_equal(np.concatenate(parts, axis=0), full)
 
 
+@given(
+    st.integers(1, 40),
+    st.integers(1, 4),
+    st.integers(2, 10**6),
+    st.integers(0, 2**20),
+)
+def test_family_index_0_is_all_ones(n, k, q_min, seed):
+    # the all-zero polynomial is below every threshold t >= 1, and any spec
+    # has one (a >= 1, b <= q); so family_search's pick, hit or fallback,
+    # counts at least the all-ones row, which chou_solve relies on
+    rng = random.Random(seed)
+    k = min(k, n)
+    q = smallest_prime_geq(max(n, q_min))
+    b = rng.randint(1, q)
+    spec = HashFamilySpec(n=n, k=k, a=rng.randint(1, b), b=b, q=q)
+    assert spec.threshold >= 1
+    row = batch_assignments(spec, (0,) * (k - 1), 0, 1)[0]
+    assert row.all() and row.size == n
+    assert np.array_equal(next(_candidate_chunks(spec, 0))[0], row)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 6),

@@ -155,14 +155,13 @@ def test_rebalance_path_decomposition():
 
 
 def _assert_rebalanced(f, td):
-    """``rebalance(td)`` is a valid binary decomposition of ``f`` whose depth
-    is at most 4 * ceil(log2 nodes of td) and whose bags are at most three
-    times ``td``'s."""
+    """``rebalance(td)`` is a valid decomposition of ``f`` whose depth is at
+    most 2 * ceil(log2 nodes of td) and whose bags are at most three times
+    ``td``'s."""
     rb = rebalance(td)
     ok, witness = validate_td(f, rb)
     assert ok, witness
-    assert all(len(c) <= 2 for c in rb.children)  # binary
-    assert rb.depth <= 4 * max(1, math.ceil(math.log2(td.num_nodes)))
+    assert rb.depth <= 2 * max(1, math.ceil(math.log2(td.num_nodes)))
     assert max(b.bit_count() for b in rb.bags) <= 3 * max(b.bit_count() for b in td.bags)
 
 
@@ -172,8 +171,25 @@ def _assert_rebalanced(f, td):
     c for i in range(2, 201) for c in ((1, i), (-i,)))))  # star, 199 legs
 def test_rebalance_high_degree_trees_log_depth(f):
     # min-fill gives the hub one bag with a child per leg; a splitter's
-    # pieces must not hang off a chain of copies of its bag
+    # pieces must not hang off a chain of bag copies, nor a tree of them
     _assert_rebalanced(f, tree_decompose(incidence_graph(f)))
+
+
+def test_rebalance_caterpillar_log_depth():
+    # a spine path of 64 nodes with 64 leaf children each, every bag one
+    # variable of a formula with no clauses: every splitter on the spine
+    # leaves many one-node pieces and one large one.  Hung under a
+    # count-balanced tree of bag copies instead of the splitter itself,
+    # its pieces reached depth 42, over 2 * ceil(log2 4160) = 26
+    spine = legs = 64
+    nodes = spine * (legs + 1)
+    children = [[] for _ in range(nodes)]
+    for v in range(spine):
+        children[v] = [v + 1] if v + 1 < spine else []
+        children[v] += range(spine + v * legs, spine + (v + 1) * legs)
+    bags = tuple(1 << (v + 1) for v in range(nodes))  # x_{v + 1}, m = 0
+    td = TreeDecomposition(bags, tuple(map(tuple, children)), 0)
+    _assert_rebalanced(Formula(n=nodes, clauses=()), td)
 
 
 def test_rebalance_single_bag():
@@ -250,6 +266,17 @@ def test_ptas_grid_corpus():
         opt, _ = exact_maxsat(f)
         res = planar_ptas(f, Fraction(1, 3))
         assert res.count >= math.ceil(Fraction(2, 3) * opt)
+
+
+@pytest.mark.parametrize("kind,size,eps", [
+    ("grid", (5, 6), "1/4"), ("tree", 300, "1/5"), ("chain", 40, "1/3")])
+def test_ptas_part_infos_dp_frames_sum_to_report(kind, size, eps):
+    # each part reports the frames its DP ran, one decomposition pass each
+    f = gen_planar_instance(kind, size, seed=2)
+    res = planar_ptas(f, Fraction(eps))
+    frames = [info["dp_frames"] for info in res.details["part_infos"]]
+    assert frames and all(x >= 1 for x in frames)
+    assert sum(frames) == res.report.pass_counts["decomposition"]
 
 
 def test_ptas_eps_validation():
@@ -755,7 +782,6 @@ def _reference_rebalance(td):
         s = min(candidates, key=lambda c: max(largest_child[c], len(nodes) - size[c]))
         root = emit(td.bags[s] | bbag)
         rest = nodes - {s}
-        subtree_roots = []
         for tree in components(sorted(rest), adj, allowed=rest):
             comp = set(tree)
             sub_boundary = tuple(
@@ -763,22 +789,8 @@ def _reference_rebalance(td):
                        | {w for w in adj[s] if w in comp})
             )
             assert len(sub_boundary) <= 2, "separator invariant broken"
-            subtree_roots.append(build(comp, sub_boundary))
-        attach(root, subtree_roots)
+            out_children[root].append(build(comp, sub_boundary))
         return root
-
-    def attach(node, roots):
-        if len(roots) <= 2:
-            out_children[node].extend(roots)
-            return
-        half = len(roots) // 2
-        for group in (roots[:half], roots[half:]):
-            if len(group) == 1:
-                out_children[node].append(group[0])
-            else:
-                spare = emit(out_bags[node])
-                out_children[node].append(spare)
-                attach(spare, group)
 
     root = build(set(range(td.num_nodes)), ())
     return TreeDecomposition(
