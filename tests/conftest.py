@@ -4,7 +4,8 @@
 clauses.  ``Formula`` does not enforce that: it keeps duplicate clauses and
 counts them with multiplicity, and ``formulas_with_duplicates`` draws such
 formulas, and ``high_degree_trees`` draws tree formulas with vertices of
-high degree.  ``clause_tuples`` is a formula's clauses as literal tuples, the
+high degree; ``chain_with_units`` is a chain whose parts repeat a few
+shapes.  ``clause_tuples`` is a formula's clauses as literal tuples, the
 view the references read.  ``HashFunction`` and ``enum_family`` are the
 hash family point by point in Python ints, the reference for the solvers'
 batched evaluator.  ``VertexIds`` translates between the int vertex ids and
@@ -201,3 +202,12 @@ def two_chains() -> Formula:
     shifted = tuple(tuple(lit + 12 if lit > 0 else lit - 12 for lit in c)
                     for c in clause_tuples(second))
     return Formula(n=24, clauses=clause_tuples(first) + shifted)
+
+
+def chain_with_units(n: int, seed: int, every: int) -> Formula:
+    """``gen_planar_instance("chain", n, seed)`` plus a unit clause on every
+    ``every``-th variable, signs alternating: the band partition cuts it into
+    many parts of a few repeated shapes."""
+    units = tuple((v if v // every % 2 else -v,) for v in range(every, n + 1, every))
+    chain = gen_planar_instance("chain", n, seed=seed)
+    return Formula(n=n, clauses=clause_tuples(chain) + units)

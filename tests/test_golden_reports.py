@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_formula, two_chains
+from conftest import chain_with_units, random_formula, two_chains
 from satmeter.cli import main
 from satmeter.formula import Formula, serialize_dimacs
 from satmeter.planar import gen_planar_instance
@@ -33,6 +33,11 @@ INSTANCES = {
     "grid5x6": lambda: gen_planar_instance("grid", (5, 6), seed=0),
     # nine parts at k = 10: per-part witnesses merged across parts
     "tree300-seed2": lambda: gen_planar_instance("tree", 300, seed=2),
+    # 100 parts at k = 6 of 3 distinct shapes (clause widths and variable
+    # ids once renumbered): pins the reports of parts that share a shape
+    "chain600-units8": lambda: chain_with_units(600, seed=5, every=8),
+    # 77 parts at k = 6 of 47 distinct shapes
+    "tree1000-seed1": lambda: gen_planar_instance("tree", 1000, seed=1),
     "random-n12-m40-r3": lambda: random_formula(
         random.Random(12), n=12, m=40, r=3
     ),
@@ -55,6 +60,8 @@ CASES = [
     ("grid5x6", "planar-ptas", "1/4"),
     ("tree300-seed2", "planar-ptas", "1/5"),
     ("chain12-twice", "planar-ptas", "2/5"),
+    ("chain600-units8", "planar-ptas", "1/3"),
+    ("tree1000-seed1", "planar-ptas", "1/3"),
     *(("random-n12-m40-r3", alg, None) for alg in ("half", "ls", "chou", "exact")),
     *(("random-n8-m16-r3", alg, None) for alg in ("ls", "chou")),
 ]
