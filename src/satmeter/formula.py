@@ -222,14 +222,29 @@ _DIGITS[list(b"0123456789")] = range(10)
 _MAX_DIGITS = 18
 
 
-def _head_end(raw: bytes) -> int:
-    """Where the head ends: after the first '\\n' past the input's last byte
-    outside ``_CLAUSE_BYTES`` (comments, header), 0 if it has none."""
-    last = raw.translate(_OTHER_BYTES).rfind(1)
+def _split_head(raw: bytes, errors: str) -> tuple[bytes, int]:
+    """The input and where its head ends: after the first '\\n' past its
+    last byte outside ``_CLAUSE_BYTES`` (comments, header), 0 if it has
+    none.  When the line of that byte is one '%' comment line (the SATLIB
+    ending, a '%' line and then '0'), the input comes back without that
+    line, which the line reader skips too, and the head ends before it."""
+    other = raw.translate(_OTHER_BYTES)
+    last = other.rfind(1)
     if last < 0:
-        return 0
-    end = raw.find(b"\n", last)
-    return end + 1 if end >= 0 else len(raw)
+        return raw, 0
+    start = raw.rfind(b"\n", 0, last) + 1
+    end = raw.find(b"\n", last) + 1 or len(raw)
+    try:
+        lines = raw[start:end].decode("utf-8", errors).splitlines()
+    except UnicodeDecodeError:
+        lines = []  # reported where the head is decoded
+    if len(lines) == 1 and lines[0].strip()[:1] == "%":
+        raw = raw[:start] + raw[end:]
+        last = other.rfind(1, 0, start)
+        if last < 0:
+            return raw, 0
+        end = raw.find(b"\n", last) + 1
+    return raw, end
 
 
 def _byte_tokens(raw: bytes, cut: int) -> np.ndarray | None:
@@ -269,7 +284,8 @@ def parse_dimacs(text: str | bytes) -> Formula:
     Accepts 'c' and '%' comment lines, a 'p cnf n m' header and 0-terminated
     clauses (possibly spanning lines, the last 0 optional).  The head, up
     to the line of the last byte other than ASCII digits, '-' and blanks,
-    is read line by line.  If it holds the header and no clause line, the
+    is read line by line; when that line is a '%' line it is dropped and the
+    head ends at the line before.  If it holds the header and no clause line, the
     byte tokenizer reads the rest; otherwise, or if a token there is not
     ``-?[0-9]{1,18}``, the rest is read line by line too, which reports
     every error.  The literals are validated as the ``Formula`` arrays.  A
@@ -277,8 +293,7 @@ def parse_dimacs(text: str | bytes) -> Formula:
     """
     is_str = isinstance(text, str)
     errors = "surrogatepass" if is_str else "strict"  # a str may hold lone surrogates
-    raw = text.encode("utf-8", errors) if is_str else text
-    cut = _head_end(raw)
+    raw, cut = _split_head(text.encode("utf-8", errors) if is_str else text, errors)
     try:
         head = raw[:cut].decode("utf-8", errors)  # the rest is ASCII
     except UnicodeDecodeError as exc:

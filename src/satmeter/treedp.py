@@ -10,10 +10,12 @@ recursively enumerates bag-variable extensions to compute an exact optimum
 with a witnessing assignment.  The PTAS driver stitches these together over
 the band partition.  A vertex is an int id (clause j is j - 1, x_i is m + i)
 and a bag an int mask of ids, from the incidence graph to the DP.  The PTAS
-runs them once per part, on parts of a few clauses each on sparse inputs,
-so they walk lists indexed by node id rather than dicts: ``rebalance``
-walks each piece once over arrays of its own, and ``_compile_plan`` fills
-per-node lists in one walk.
+runs them on parts of a few clauses each on sparse inputs, so they walk
+lists indexed by node id rather than dicts: ``rebalance`` walks each piece
+once over arrays of its own, and ``_compile_plan`` fills per-node lists in
+one walk.  Such parts repeat a few shapes (clause widths and renumbered
+variable ids), so one PTAS call decomposes and rebalances each distinct
+shape once, and validates, compiles and runs the DP once per part.
 
 The DP is the paper's recompute-everything recursion: every extension of a
 frame re-solves every child subtree, which keeps its space to the frames on
@@ -549,17 +551,31 @@ def _renumbered(part: Formula) -> tuple[Formula, np.ndarray]:
     return compact, used
 
 
-def solve_part_exact(part: Formula) -> tuple[int, np.ndarray, Assignment, dict[str, Any]]:
+def solve_part_exact(
+    part: Formula, shapes: dict | None = None
+) -> tuple[int, np.ndarray, Assignment, dict[str, Any]]:
     """Exact solve of one partition part via decompose + rebalance + DP:
-    (value, the part's variables ``used``, their values, info)."""
+    (value, the part's variables ``used``, their values, info).
+
+    A part's decomposition depends only on its shape: its clause offsets
+    and its variable ids once renumbered, not its signs.  ``shapes`` maps a
+    shape's bytes to its rebalanced decomposition and that tree's width,
+    depth and node count, and a part whose shape is there reuses them;
+    ``planar_ptas`` passes one dict for all the parts of a call.  Every part
+    still runs ``bdtw_maxsat``, so it is validated, capped and metered as
+    its own.
+    """
     compact, used = _renumbered(part)
-    td = rebalance(tree_decompose(incidence_graph(compact)))
+    shapes = {} if shapes is None else shapes
+    key = (compact.offsets.tobytes(), np.abs(compact.lits).tobytes())
+    if key not in shapes:
+        td = rebalance(tree_decompose(incidence_graph(compact)))
+        shapes[key] = td, {"width": td.width, "depth": td.depth, "dp_nodes": td.num_nodes}
+    td, tree = shapes[key]
     with meter_scope("part") as sc:
         val, phi = bdtw_maxsat(td, compact)
     info = {
-        "width": td.width,
-        "depth": td.depth,
-        "dp_nodes": td.num_nodes,
+        **tree,
         "dp_frames": sc.report.pass_counts["decomposition"],
         "clauses": part.m,
     }
@@ -573,7 +589,10 @@ def planar_ptas(
 
     Uses band modulus k = ceil(2/eps) (the partition loses up to 2m/k
     clauses), solves each part exactly and merges the variable-disjoint part
-    assignments; variables in no part default to 0.
+    assignments; variables in no part default to 0.  The parts share one
+    ``solve_part_exact`` memo of decompositions by shape, which lives for
+    this call alone.  It is memory the implementation holds outside the
+    paper's meter, at most one tree per part in ``PartitionResult.parts``.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -585,8 +604,9 @@ def planar_ptas(
         merged = np.zeros(formula.n, dtype=bool)
         part_infos = []
         note_pass("parts")
+        shapes: dict = {}
         for part in result.parts:
-            val, used, phi, info = solve_part_exact(part)
+            val, used, phi, info = solve_part_exact(part, shapes)
             merged[used - 1] = phi
             part_infos.append(info)
         count = eval_assignment(formula, merged)

@@ -367,7 +367,9 @@ def _read_by_bytes(text: str) -> bool:
         ("p cnf 2 2\n1 -2 0\nc after a clause line\n2 0\n", False),
         ("p cnf 2 2\r1 -2 0\r2 0\r", False),  # the head runs to the first '\n'
         ("p cnf 2 2\r\n1 -2 0\r2 0\r", True),
-        ("p cnf 2 2\n1 -2 0\n2 0\n%\n0\n", False),
+        ("p cnf 2 2\n1 -2 0\n2 0\n%\n0\n", True),  # the SATLIB ending
+        ("p cnf 2 2\n1 -2 0\nc after a clause line\n2 0\n%\n0\n", False),
+        ("p cnf 2 2\n1 -2 0\n2 0\n%\x0c0\n", False),  # '\x0c' splits the line
         ("p cnf 2 2\n1\x0b-2 0\n2 0\n", False),
         ("p cnf 2 2\n1\xa0-2 0\n2 0\n", False),
         ("p cnf 2 2\n+1 -2 0\n2 0\n", False),
@@ -386,12 +388,36 @@ def test_byte_reader_takes_plain_clause_sections(text, by_bytes):
     assert _outcome(_array_parse, text) == _outcome(_reference_parse, text)
 
 
+SATLIB_ENDINGS = [
+    "p cnf 2 2\n1 -2 0\n2 0\n%\n0\n",
+    "c SATLIB\r\np cnf 2 2\r\n1 -2 0\r\n2 0\r\n%\r\n0\r\n",
+    "p cnf 3 2\n1 -2\n  %  ∀ a clause spans the trailer\n3 0\n",
+    "p cnf 2 2\n1 -2 0\n2 0\n%",
+    "p cnf 2 2\n%\n1 -2 0 2 0\n",
+    "p cnf 2 2\n1 -2 0\n2 0\n%\n0\n0\n-1 2",
+    "p cnf 2 2\n1 -2 0\n2 0\n%\n0\n\n",
+]
+
+
+@pytest.mark.parametrize("text", SATLIB_ENDINGS)
+def test_satlib_ending_reads_by_bytes_as_by_lines(text):
+    """When the last line holding a byte the byte reader does not take is
+    a '%' line, the byte reader reads the clauses on both sides of it, and
+    the formula is the line reader's."""
+    assert _read_by_bytes(text) and _read_by_bytes(text.encode())
+    with mock.patch.object(fm, "_byte_tokens", lambda raw, cut: None):  # lines alone
+        by_lines = _array_parse(text.encode())
+    assert _array_parse(text) == _array_parse(text.encode()) == by_lines
+    assert by_lines == _reference_parse(text)
+
+
 def test_parse_text_outside_utf8():
     """A lone surrogate in a str comment reads as before; undecodable bytes
     are reported where the whole input's decoding fails."""
     text = "c \ud800\np cnf 1 1\n1 0\n"
     assert _read_by_bytes(text) and _array_parse(text) == _reference_parse(text)
-    for raw in [b"c \xff\np cnf 1 1\n1 0\n", b"p cnf 1 1\n1 0\n1 \xc3\n0\n", b"p cnf 1 1\n1 0 \xe2\x88"]:
+    for raw in [b"c \xff\np cnf 1 1\n1 0\n", b"p cnf 1 1\n1 0\n1 \xc3\n0\n", b"p cnf 1 1\n1 0 \xe2\x88",
+                b"p cnf 1 1\n1 0\n% \xff\n0\n"]:
         with pytest.raises(UnicodeDecodeError) as exc:
             raw.decode("utf-8")
         with pytest.raises(FormulaError, match=f"^input is not UTF-8: {exc.value}$"):

@@ -31,6 +31,7 @@ from satmeter.treedp import (
     _renumbered,
     bdtw_maxsat,
     planar_ptas,
+    solve_part_exact,
     rebalance,
     tree_decompose,
     validate_td,
@@ -39,6 +40,7 @@ from satmeter.treedp import (
 from conftest import (
     VertexIds,
     as_dict,
+    chain_with_units,
     clause_tuples,
     high_degree_trees,
     random_formula,
@@ -290,6 +292,72 @@ def test_ptas_k_is_ceil_two_over_eps():
     f = gen_planar_instance("chain", 6, seed=0)
     assert planar_ptas(f, Fraction(1, 3)).details["k"] == 6
     assert planar_ptas(f, Fraction(2, 5)).details["k"] == 5
+
+
+# --- the per-call memo of decompositions by part shape ---------------------
+
+
+def _ptas_with_memo(f, eps):
+    """``planar_ptas``'s result, plus each part it solved with the memo dict
+    it was solved against."""
+    seen, solve = [], treedp.solve_part_exact
+    with mock.patch.object(treedp, "solve_part_exact",
+                           lambda part, shapes: seen.append((part, shapes)) or solve(part, shapes)):
+        res = planar_ptas(f, eps)
+    return res, seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.builds(gen_planar_instance, st.just("chain"), st.integers(2, 300), st.integers(0, 99)),
+        st.builds(chain_with_units, st.integers(2, 300), st.integers(0, 99), st.integers(1, 9)),
+        st.builds(gen_planar_instance, st.just("tree"), st.integers(2, 300), st.integers(0, 99)),
+        st.builds(gen_planar_instance, st.just("grid"),
+                  st.tuples(st.integers(1, 5), st.integers(2, 5)), st.integers(0, 99)),
+        high_degree_trees(),
+    ),
+    st.sampled_from(["1/3", "2/5", "1/4"]),
+)
+@example(chain_with_units(600, 5, 8), "1/3")
+def test_ptas_memo_matches_fresh_decompositions(f, eps):
+    # every part solved against the call's memo gives what a fresh
+    # decomposition gives, and every cached tree is the one its parts build
+    res, seen = _ptas_with_memo(f, Fraction(eps))
+    assert len({id(shapes) for _, shapes in seen}) == 1
+    merged, infos = [False] * f.n, []
+    for part, shapes in seen:
+        val, used, phi, info = solve_part_exact(part)
+        for v, x in zip(used.tolist(), phi.tolist()):
+            merged[v - 1] = x
+        infos.append(info)
+        compact, _ = _renumbered(part)
+        td, tree = shapes[compact.offsets.tobytes(), abs(compact.lits).tobytes()]
+        assert td == rebalance(tree_decompose(incidence_graph(compact)))
+        assert tree == {"width": td.width, "depth": td.depth, "dp_nodes": td.num_nodes}
+    assert res.details["part_infos"] == infos
+    assert res.assignment.tolist() == merged
+    assert res.count == eval_assignment(f, res.assignment)
+
+
+def test_ptas_memo_keys_on_clause_widths_and_renumbered_variables():
+    shapes = {}
+
+    def solve(*clauses):
+        n = max(abs(lit) for c in clauses for lit in c)
+        return solve_part_exact(Formula(n=n, clauses=clauses), shapes)
+    base = solve((1, -2), (2, 3))
+    assert solve((-1, 2), (-2, -3))[0] == base[0] and len(shapes) == 1  # signs
+    solve((5, -7), (-7, 9))  # the same ids once renumbered
+    assert len(shapes) == 1
+    solve((2, 3), (1, -2))  # clause order
+    assert len(shapes) == 2
+    solve((1, -2), (1, 3))  # a changed variable
+    assert len(shapes) == 3
+    solve((1,), (-2, 1, 3))  # clause widths: its variables are the last one's
+    assert len(shapes) == 4
+    solve((-2, 1), (2, 3))  # literal order
+    assert len(shapes) == 5
 
 
 # --- the recompute DP against its per-frame reference, and its meter ------
