@@ -239,11 +239,8 @@ def _split_head(raw: bytes, errors: str) -> tuple[bytes, int]:
     except UnicodeDecodeError:
         lines = []  # reported where the head is decoded
     if len(lines) == 1 and lines[0].strip()[:1] == "%":
-        raw = raw[:start] + raw[end:]
-        last = other.rfind(1, 0, start)
-        if last < 0:
-            return raw, 0
-        end = raw.find(b"\n", last) + 1
+        raw, last = raw[:start] + raw[end:], other.rfind(1, 0, start)
+        end = raw.find(b"\n", last) + 1 if last >= 0 else 0
     return raw, end
 
 
@@ -284,12 +281,13 @@ def parse_dimacs(text: str | bytes) -> Formula:
     Accepts 'c' and '%' comment lines, a 'p cnf n m' header and 0-terminated
     clauses (possibly spanning lines, the last 0 optional).  The head, up
     to the line of the last byte other than ASCII digits, '-' and blanks,
-    is read line by line; when that line is a '%' line it is dropped and the
-    head ends at the line before.  If it holds the header and no clause line, the
-    byte tokenizer reads the rest; otherwise, or if a token there is not
-    ``-?[0-9]{1,18}``, the rest is read line by line too, which reports
-    every error.  The literals are validated as the ``Formula`` arrays.  A
-    clause-count mismatch is a warning only; the actual count is trusted.
+    is read line by line; when that line is a '%' line (the SATLIB ending)
+    it is dropped and the head ends at the line before.  If the head holds
+    the header and no clause line, the byte tokenizer reads the rest;
+    otherwise, or if a token there is not ``-?[0-9]{1,18}``, the rest is
+    read line by line too, which reports every error.  The literals are
+    validated as the ``Formula`` arrays.  A clause-count mismatch is a
+    warning only; the actual count is trusted.
     """
     is_str = isinstance(text, str)
     errors = "surrogatepass" if is_str else "strict"  # a str may hold lone surrogates
