@@ -192,6 +192,31 @@ def test_hashfam_stats(capsys):
     assert rep["pair11_count_vars_1_2"] == 9
 
 
+@pytest.mark.parametrize("spec, expected", [
+    ((4, 1, 2, 3, 7), '{"family_size": 7, "marginal_counts": [5, 5, 5, 5], '
+     '"pair11_count_vars_1_2": 5, "schema_version": 1, "spec": {"a": 2, "b": 3, '
+     '"k": 1, "n": 4, "q": 7}, "threshold": 5}'),
+    ((6, 2, 5, 8, 13), '{"family_size": 169, "marginal_counts": [104, 104, 104, '
+     '104, 104, 104], "pair11_count_vars_1_2": 64, "schema_version": 1, "spec": '
+     '{"a": 5, "b": 8, "k": 2, "n": 6, "q": 13}, "threshold": 8}'),
+    ((4, 3, 2, 5, 11), '{"family_size": 1331, "marginal_counts": [484, 484, 484, '
+     '484], "pair11_count_vars_1_2": 176, "schema_version": 1, "spec": {"a": 2, '
+     '"b": 5, "k": 3, "n": 4, "q": 11}, "threshold": 4}'),
+    # a = b: t = q, every member is the all-ones row
+    ((5, 3, 3, 3, 7), '{"family_size": 343, "marginal_counts": [343, 343, 343, '
+     '343, 343], "pair11_count_vars_1_2": 343, "schema_version": 1, "spec": {"a": '
+     '3, "b": 3, "k": 3, "n": 5, "q": 7}, "threshold": 7}'),
+])
+def test_hashfam_reports_pinned(capsys, spec, expected):
+    # the whole report, byte for byte apart from its timestamp
+    n, k, a, b, q = spec
+    argv = ["hashfam", "--n", n, "--k", k, "--a", a, "--b", b, "--q", q]
+    assert main([str(x) for x in argv]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    del rep["timestamp"]
+    assert json.dumps(rep, sort_keys=True) == expected
+
+
 def test_oracle_command(capsys, tri_path):
     code, rep = run_json(capsys, ["oracle", tri_path])
     assert code == 0
