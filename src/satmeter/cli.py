@@ -219,9 +219,9 @@ def cmd_hashfam(args) -> int:
         raise InputError(f"family size {spec.size} exceeds --limit {args.limit}")
     marginals = np.zeros(args.n, dtype=np.int64)
     pair = 0
-    for bits in _candidate_chunks(spec, spec.n):  # one row per function
-        marginals += bits.sum(axis=0)
-        pair += int(bits[:, :2].all(axis=1).sum())
+    for bits, lengths in _candidate_chunks(spec, spec.n):  # one row per run
+        marginals += lengths @ bits
+        pair += int(lengths[bits[:, :2].all(axis=1)].sum())
     report = {
         "schema_version": SCHEMA_VERSION,
         "timestamp": time.time(),

@@ -10,9 +10,11 @@ marginal a/b to within 1/(2q).
 sqrt(2)/2 solvers run: walk the family in enumeration order and stop at the
 first candidate whose satisfied-clause count reaches the solver's integer
 bound.  The walk is flat: the block of candidates sharing their non-constant
-coefficients is found from its index by base-q digits.  The search returns
-the bit row it scored, so ``batch_assignments`` is the one evaluator of the
-polynomial.
+coefficients is found from its index by base-q digits.  It yields one row
+per run of identical candidates in a block (at most 2n + 1 runs of q
+candidates), so the search scores one row per run while the paper's model
+still charges one pass per candidate.  The search returns the bit row it
+scored, so ``batch_assignments`` is the one evaluator of the polynomial.
 """
 
 from __future__ import annotations
@@ -97,64 +99,83 @@ def field_size_for(n: int, b: int, m: int, r: int) -> int:
     return smallest_prime_geq(max(n, b, 20 * m * r, 2))
 
 
-def batch_assignments(
-    spec: HashFamilySpec,
-    high_coeffs: tuple[int, ...],
-    c0_start: int,
-    c0_stop: int,
-) -> np.ndarray:
-    """Bit matrix for the functions sharing the given non-constant coeffs.
+def block_values(spec: HashFamilySpec, high_coeffs: tuple[int, ...]) -> np.ndarray:
+    """A block's polynomial without its constant term, at points 1..n.
 
-    Row i is the assignment of the function with coefficients
-    (*high_coeffs, c0_start + i), leading coefficient first: variable j
-    (column j - 1) is set iff the polynomial at j is below the threshold.
-    The rows follow the family's lexicographic order within that
-    coefficient prefix; callers chunk the constant-term block [0, q) to
-    bound working-set size.
+    The functions with non-constant coefficients ``high_coeffs`` (leading
+    first) differ only in their constant term c0: entry j - 1 plus c0,
+    mod q, is the value of function c0 at point j.
     """
-    q, n, t = spec.q, spec.n, spec.threshold
+    q, n = spec.q, spec.n
     points = np.arange(1, n + 1, dtype=np.int64)
     acc = np.zeros(n, dtype=np.int64)
     lead = next((i for i, c in enumerate(high_coeffs) if c), len(high_coeffs))
     for c in high_coeffs[lead:]:  # leading zeros leave acc at 0
         acc = (acc * points + c) % q
-    acc = (acc * points) % q  # still missing the constant term
-    c0 = np.arange(c0_start, c0_stop, dtype=np.int64)
+    return (acc * points) % q  # still missing the constant term
+
+
+def batch_assignments(spec: HashFamilySpec, acc: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """Bit matrix of a block's functions with the constant terms ``c0``.
+
+    ``acc`` is the block's ``block_values`` and ``c0`` an int64 array.  Row
+    i is the assignment of the function with constant term c0[i]: variable
+    j (column j - 1) is set iff the polynomial at j is below the threshold.
+    """
     evals = acc + c0[:, None]  # the one (rows, n) int64 buffer
-    evals %= q
-    return evals < t
+    evals %= spec.q
+    return evals < spec.threshold
 
 
-# Cells one chunk of candidates may span: rows times the larger of n and the
+# Cells one chunk of runs may span: rows times the larger of n and the
 # cells a row takes in a caller's per-row work (``row_cells``)
 CHUNK_CELLS = 1 << 20
 
 
-def _candidate_chunks(spec: HashFamilySpec, row_cells: int) -> Iterator[np.ndarray]:
-    """Bit matrices covering the family in order, one row per candidate.
+def _candidate_chunks(
+    spec: HashFamilySpec, row_cells: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The family in order as runs of identical candidates: pairs of a bit
+    matrix, one row per run, and the runs' lengths.
 
-    Chunks start at one row and double up to
+    In a block, bit j of the function with constant term c0 is 1 on the
+    cyclic interval of t values of c0 that starts at (-acc_j) mod q, so the
+    block's q candidates form at most 2n + 1 runs, split where an interval
+    starts or ends.  A block's first run comes alone, its end one ``min``
+    over the breakpoints, so a hit at a block's start sorts nothing.  The
+    other runs come in chunks that start at one row and double up to
     ``CHUNK_CELLS // max(n, row_cells)`` rows (at least one), the size
-    carried across blocks, so an early hit evaluates few rows and neither
-    the candidate matrices nor a caller's per-row work on them (the
-    ``(rows, m, width)`` literal copy of ``count_satisfied``) grows past
-    about ``CHUNK_CELLS`` cells.  Block i holds the functions whose k - 1
-    leading coefficients are the base-q digits of i, most significant
-    first, so blocks come in lexicographic order, each found in O(k) steps.
+    carried across blocks and a chunk kept within one, so neither the run
+    matrices nor a caller's per-row work on them (the ``(rows, m, width)``
+    literal copy of ``count_satisfied``) grows past about ``CHUNK_CELLS``
+    cells.  Block i holds the functions whose k - 1 leading coefficients are
+    the base-q digits of i, most significant first, so blocks come in
+    lexicographic order, each found in O(k) steps.
     """
+    q, t = spec.q, spec.threshold
     max_chunk = max(1, CHUNK_CELLS // max(spec.n, row_cells))
     chunk = 1
-    for block in range(spec.q ** (spec.k - 1)):
+    for block in range(q ** (spec.k - 1)):
         digits, rest = [], block
         for _ in range(spec.k - 1):
-            rest, digit = divmod(rest, spec.q)
+            rest, digit = divmod(rest, q)
             digits.append(digit)
-        high = tuple(reversed(digits))
-        c0 = 0
-        while c0 < spec.q:
-            stop = min(c0 + chunk, spec.q)
-            yield batch_assignments(spec, high, c0, stop)
-            c0, chunk = stop, min(2 * chunk, max_chunk)
+        acc = block_values(spec, tuple(reversed(digits)))
+        # bit j is 1 for the t constant terms from (-acc_j) mod q on,
+        # cyclically, so runs end where one of these intervals starts or ends
+        ones_from = -acc % q
+        breaks = np.concatenate((ones_from, (ones_from + t) % q)) if t < q else acc[:0]
+        breaks = breaks[breaks > 0]
+        first_end = int(breaks.min()) if breaks.size else q
+        yield batch_assignments(spec, acc, np.zeros(1, dtype=np.int64)), np.array([first_end])
+        chunk = min(2 * chunk, max_chunk)
+        starts = np.unique(breaks)  # starts[0] == first_end when the block goes on
+        lengths = np.diff(starts, append=q)
+        i = 0
+        while i < starts.size:
+            stop = min(i + chunk, starts.size)
+            yield batch_assignments(spec, acc, starts[i:stop]), lengths[i:stop]
+            i, chunk = stop, min(2 * chunk, max_chunk)
 
 
 @dataclass(frozen=True)
@@ -192,24 +213,32 @@ def family_search(
     """First candidate in enumeration order that satisfies at least ``need``
     clauses of ``formula``, the solver's integer bound.
 
-    If none does before the family ends or the scan reaches ``SCAN_CAP``
-    (checked after each chunk), the first maximum over the scanned
-    candidates is returned with ``fallback`` set.  Every scanned
-    candidate is charged one ``pass_label`` pass: the space model rebuilds
+    The walk scores one row per run of identical candidates, so a run's
+    count is that of each of its candidates and the first run that reaches
+    ``need`` starts at the first candidate that does.  If none does before
+    the family ends or within the first ``SCAN_CAP`` candidates (the run
+    that crosses the cap is cut at it), the first maximum over the scanned
+    candidates is returned with ``fallback`` set.  Every scanned candidate,
+    not run, is charged one ``pass_label`` pass: the space model rebuilds
     ``formula`` for each candidate it scores.
     """
     packed = pack_clauses(formula)
     best_count, best_index, best_row = -1, -1, None
-    scanned = 0  # also the family index of the chunk's first row
-    for bits in _candidate_chunks(spec, packed.var_idx.size):
-        counts = packed.count_satisfied(bits)
+    scanned = 0  # candidates passed, the family index of the chunk's first run
+    for bits, lengths in _candidate_chunks(spec, packed.var_idx.size):
+        starts = scanned + np.cumsum(lengths) - lengths
+        live = int(np.searchsorted(starts, SCAN_CAP))  # runs that start below the cap
+        counts = packed.count_satisfied(bits[:live])
         hits = np.flatnonzero(counts >= need)
-        row = int(hits[0]) if hits.size else int(np.argmax(counts))
-        if hits.size or counts[row] > best_count:
-            best_count, best_index = int(counts[row]), scanned + row
-            best_row = bits[row].copy()  # a view would keep the whole chunk
-        scanned += row + 1 if hits.size else len(counts)
-        if hits.size or scanned >= SCAN_CAP:
+        run = int(hits[0]) if hits.size else int(np.argmax(counts))
+        if hits.size or counts[run] > best_count:
+            best_count, best_index = int(counts[run]), int(starts[run])
+            best_row = bits[run].copy()  # a view would keep the whole chunk
+        if hits.size:
+            scanned = best_index + 1
+            break
+        scanned = min(scanned + int(lengths.sum()), SCAN_CAP)
+        if scanned == SCAN_CAP:
             break
     note_pass(pass_label, scanned)
     return SearchOutcome(

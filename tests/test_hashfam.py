@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from satmeter.hashfam import (
     HashFamilySpec,
     _candidate_chunks,
     batch_assignments,
+    block_values,
     family_search,
     field_size_for,
     is_prime,
@@ -90,8 +92,9 @@ def test_family_size_and_enumeration_order():
 
 
 def _family_rows(spec):
-    """Every member's assignment, in order, from the solvers' chunk walk."""
-    return np.concatenate(list(_candidate_chunks(spec, spec.n)))
+    """Every member's assignment, in order, from the solvers' run walk."""
+    walk = _candidate_chunks(spec, spec.n)
+    return np.concatenate([np.repeat(bits, lengths, axis=0) for bits, lengths in walk])
 
 
 def test_pairwise_marginals_exact():
@@ -138,7 +141,7 @@ def test_batch_matches_enumeration(n, k, seed):
     fams = list(enum_family(spec))
     rows = []
     for high in itertools.product(range(q), repeat=k - 1):
-        rows.append(batch_assignments(spec, high, 0, q))
+        rows.append(batch_assignments(spec, block_values(spec, high), np.arange(q)))
     stacked = np.concatenate(rows, axis=0)
     assert stacked.shape == (spec.size, n)
     for f, row in zip(fams, stacked):
@@ -149,11 +152,15 @@ def test_batch_matches_enumeration(n, k, seed):
 
 def test_batch_chunking_matches_full_block():
     spec = HashFamilySpec(n=4, k=2, a=1, b=3, q=7)
-    full = batch_assignments(spec, (2,), 0, 7)
+    acc = block_values(spec, (2,))
+    full = batch_assignments(spec, acc, np.arange(7))
     parts = [
-        batch_assignments(spec, (2,), s, min(s + 3, 7)) for s in (0, 3, 6)
+        batch_assignments(spec, acc, np.arange(s, min(s + 3, 7))) for s in (0, 3, 6)
     ]
     assert np.array_equal(np.concatenate(parts, axis=0), full)
+    # any constant terms, as the run walk passes its run starts
+    picks = np.array([6, 0, 3, 3])
+    assert np.array_equal(batch_assignments(spec, acc, picks), full[picks])
 
 
 @given(
@@ -172,28 +179,43 @@ def test_family_index_0_is_all_ones(n, k, q_min, seed):
     b = rng.randint(1, q)
     spec = HashFamilySpec(n=n, k=k, a=rng.randint(1, b), b=b, q=q)
     assert spec.threshold >= 1
-    row = batch_assignments(spec, (0,) * (k - 1), 0, 1)[0]
+    zero = np.zeros(1, dtype=np.int64)
+    row = batch_assignments(spec, block_values(spec, (0,) * (k - 1)), zero)[0]
     assert row.all() and row.size == n
-    assert np.array_equal(next(_candidate_chunks(spec, 0))[0], row)
+    # the walk's first run is that row, alone, for its t constant terms
+    bits, lengths = next(_candidate_chunks(spec, 0))
+    assert np.array_equal(bits, row[None, :])
+    assert lengths.tolist() == [spec.threshold]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 6),
     st.sampled_from([7, 29, 101]),
-    st.integers(1, 2),
+    st.integers(1, 3),
+    st.sampled_from([(1, 2), (2, 3), (1, 7), (7, 7)]),  # t = 1 and t = q at q = 7
     st.sampled_from([0, 2**15, 2**17, 2**19, 2**20, 2**21]),
 )
-def test_candidate_chunks_bounded_and_tiling(n, q, k, row_cells):
+def test_candidate_chunks_bounded_and_tiling(n, q, k, ab, row_cells):
     k = min(k, n)
-    spec = HashFamilySpec(n=n, k=k, a=1, b=2, q=q)
-    rows = []
-    for bits in _candidate_chunks(spec, row_cells):
+    if k == 3:
+        q = min(q, 29)  # 24,389 members
+    spec = HashFamilySpec(n=n, k=k, a=ab[0], b=ab[1], q=q)
+    rows, scored, scanned = [], Counter(), 0
+    for bits, lengths in _candidate_chunks(spec, row_cells):
+        assert len(bits) == len(lengths) and (lengths >= 1).all()
         assert len(bits) == 1 or len(bits) * max(n, row_cells) <= CHUNK_CELLS
-        rows.append(bits)
-    # the chunks cover the family once, in enumeration order
+        block = scanned // q
+        scanned += int(lengths.sum())
+        assert (scanned - 1) // q == block  # a chunk stays within one block
+        scored[block] += len(bits)
+        rows.append(np.repeat(bits, lengths, axis=0))
+    # each block scores at most 2n + 1 runs, one when every bit is 1
+    assert sorted(scored) == list(range(q ** (k - 1)))
+    assert max(scored.values()) <= (1 if spec.threshold == q else 2 * n + 1)
+    # the runs, each repeated by its length, cover the family once, in order
     highs = itertools.product(range(q), repeat=k - 1)
-    whole = [batch_assignments(spec, high, 0, q) for high in highs]
+    whole = [batch_assignments(spec, block_values(spec, high), np.arange(q)) for high in highs]
     assert np.array_equal(np.concatenate(rows), np.concatenate(whole))
 
 
@@ -202,16 +224,18 @@ def test_candidate_chunks_bounded_and_tiling(n, q, k, row_cells):
     st.sampled_from([5, 7, 11]),
     st.integers(1, 3),
     st.sampled_from([1, 2, 3, 7, 10**9]),
+    st.sampled_from([0.5, 0.9]),
     st.integers(0, 2**20),
 )
-def test_family_search_matches_plain_scan(q, k, scan_cap, seed):
+def test_family_search_matches_plain_scan(q, k, scan_cap, neg_share, seed):
     rng = random.Random(seed)
     n = rng.randint(k, q)
     spec = HashFamilySpec(n=n, k=k, a=rng.randint(1, q), b=q, q=q)
     clauses = []
     for _ in range(rng.randint(1, 12)):
         vs = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
-        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+        # mostly negative literals put the first hit deep in block 0
+        clauses.append(tuple(-v if rng.random() < neg_share else v for v in vs))
     clauses += rng.choices(clauses, k=rng.randint(0, 3))  # duplicates count
     formula = Formula(n=n, clauses=tuple(clauses))
     threshold = rng.randint(0, formula.m + 1)  # m + 1 accepts nothing
@@ -224,11 +248,10 @@ def test_family_search_matches_plain_scan(q, k, scan_cap, seed):
 
     assert sc.report.pass_counts == {"clauses": out.scanned}
     if out.fallback:
-        # nothing scanned passes, and the scan stopped only at the family's
-        # end or in the chunk (at most one block of q rows) reaching the cap
+        # nothing scanned passes, and the scan stopped at the family's end
+        # or at the cap, exactly
         assert first is None or first >= out.scanned
-        assert min(scan_cap, spec.size) <= out.scanned <= spec.size
-        assert out.scanned < scan_cap + q
+        assert out.scanned == min(scan_cap, spec.size)
         seen = counts[: out.scanned]
         assert out.family_index == seen.index(max(seen))
     else:
