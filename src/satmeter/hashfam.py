@@ -115,7 +115,9 @@ def block_values(spec: HashFamilySpec, high_coeffs: tuple[int, ...]) -> np.ndarr
     return (acc * points) % q  # still missing the constant term
 
 
-def batch_assignments(spec: HashFamilySpec, acc: np.ndarray, c0: np.ndarray) -> np.ndarray:
+def batch_assignments(
+    spec: HashFamilySpec, acc: np.ndarray, c0: np.ndarray
+) -> np.ndarray:
     """Bit matrix of a block's functions with the constant terms ``c0``.
 
     ``acc`` is the block's ``block_values`` and ``c0`` an int64 array.  Row
@@ -142,8 +144,8 @@ def _candidate_chunks(
     cyclic interval of t values of c0 that starts at (-acc_j) mod q, so the
     block's q candidates form at most 2n + 1 runs, split where an interval
     starts or ends.  A block's first run comes alone, its end one ``min``
-    over the breakpoints, so a hit at a block's start sorts nothing.  The
-    other runs come in chunks that start at one row and double up to
+    over the bits' first flips, so a hit at a block's start sorts nothing.
+    The other runs come in chunks that start at one row and double up to
     ``CHUNK_CELLS // max(n, row_cells)`` rows (at least one), the size
     carried across blocks and a chunk kept within one, so neither the run
     matrices nor a caller's per-row work on them (the ``(rows, m, width)``
@@ -161,15 +163,17 @@ def _candidate_chunks(
             rest, digit = divmod(rest, q)
             digits.append(digit)
         acc = block_values(spec, tuple(reversed(digits)))
-        # bit j is 1 for the t constant terms from (-acc_j) mod q on,
-        # cyclically, so runs end where one of these intervals starts or ends
-        ones_from = -acc % q
-        breaks = np.concatenate((ones_from, (ones_from + t) % q)) if t < q else acc[:0]
-        breaks = breaks[breaks > 0]
-        first_end = int(breaks.min()) if breaks.size else q
-        yield batch_assignments(spec, acc, np.zeros(1, dtype=np.int64)), np.array([first_end])
+        # bit j is acc_j + c0 < t: from c0 = 0 it first flips where acc_j + c0
+        # reaches t (a 1) or q (a 0), and never when t = q
+        first_end = int((np.where(acc < t, t, q) - acc).min()) if t < q else q
+        first = batch_assignments(spec, acc, np.zeros(1, dtype=np.int64))
+        yield first, np.array([first_end])
         chunk = min(2 * chunk, max_chunk)
-        starts = np.unique(breaks)  # starts[0] == first_end when the block goes on
+        if first_end == q:
+            continue
+        # bit j is 1 on the t constant terms from (-acc_j) mod q on, cyclically
+        flips = np.unique(np.concatenate((-acc % q, (t - acc) % q)))
+        starts = flips[flips > 0]  # starts[0] == first_end
         lengths = np.diff(starts, append=q)
         i = 0
         while i < starts.size:
@@ -226,18 +230,18 @@ def family_search(
     best_count, best_index, best_row = -1, -1, None
     scanned = 0  # candidates passed, the family index of the chunk's first run
     for bits, lengths in _candidate_chunks(spec, packed.var_idx.size):
-        starts = scanned + np.cumsum(lengths) - lengths
-        live = int(np.searchsorted(starts, SCAN_CAP))  # runs that start below the cap
+        ends = scanned + np.cumsum(lengths)  # one past each run's last candidate
+        live = int(np.searchsorted(ends, SCAN_CAP)) + 1  # runs that start below the cap
         counts = packed.count_satisfied(bits[:live])
         hits = np.flatnonzero(counts >= need)
         run = int(hits[0]) if hits.size else int(np.argmax(counts))
         if hits.size or counts[run] > best_count:
-            best_count, best_index = int(counts[run]), int(starts[run])
+            best_count, best_index = int(counts[run]), int(ends[run] - lengths[run])
             best_row = bits[run].copy()  # a view would keep the whole chunk
         if hits.size:
             scanned = best_index + 1
             break
-        scanned = min(scanned + int(lengths.sum()), SCAN_CAP)
+        scanned = min(int(ends[-1]), SCAN_CAP)
         if scanned == SCAN_CAP:
             break
     note_pass(pass_label, scanned)

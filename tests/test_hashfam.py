@@ -215,7 +215,9 @@ def test_candidate_chunks_bounded_and_tiling(n, q, k, ab, row_cells):
     assert max(scored.values()) <= (1 if spec.threshold == q else 2 * n + 1)
     # the runs, each repeated by its length, cover the family once, in order
     highs = itertools.product(range(q), repeat=k - 1)
-    whole = [batch_assignments(spec, block_values(spec, high), np.arange(q)) for high in highs]
+    whole = [
+        batch_assignments(spec, block_values(spec, high), np.arange(q)) for high in highs
+    ]
     assert np.array_equal(np.concatenate(rows), np.concatenate(whole))
 
 
