@@ -143,8 +143,8 @@ def _candidate_chunks(
     In a block, bit j of the function with constant term c0 is 1 on the
     cyclic interval of t values of c0 that starts at (-acc_j) mod q, so the
     block's q candidates form at most 2n + 1 runs, split where an interval
-    starts or ends.  A block's first run comes alone, its end one ``min``
-    over the bits' first flips, so a hit at a block's start sorts nothing.
+    starts or ends.  The walk's first run comes alone, its end one ``min``
+    over the bits' first flips, so a hit at family index 0 sorts nothing.
     The other runs come in chunks that start at one row and double up to
     ``CHUNK_CELLS // max(n, row_cells)`` rows (at least one), the size
     carried across blocks and a chunk kept within one, so neither the run
@@ -163,19 +163,19 @@ def _candidate_chunks(
             rest, digit = divmod(rest, q)
             digits.append(digit)
         acc = block_values(spec, tuple(reversed(digits)))
-        # bit j is acc_j + c0 < t: from c0 = 0 it first flips where acc_j + c0
-        # reaches t (a 1) or q (a 0), and never when t = q
-        first_end = int((np.where(acc < t, t, q) - acc).min()) if t < q else q
-        first = batch_assignments(spec, acc, np.zeros(1, dtype=np.int64))
-        yield first, np.array([first_end])
-        chunk = min(2 * chunk, max_chunk)
-        if first_end == q:
-            continue
-        # bit j is 1 on the t constant terms from (-acc_j) mod q on, cyclically
-        flips = np.unique(np.concatenate((-acc % q, (t - acc) % q)))
-        starts = flips[flips > 0]  # starts[0] == first_end
-        lengths = np.diff(starts, append=q)
-        i = 0
+        i = 0  # the block's next run to yield
+        if chunk == 1 and t < q:
+            # bit j is acc_j + c0 < t: from c0 = 0 it first flips where
+            # acc_j + c0 reaches t (a 1) or q (a 0)
+            first_end = int((np.where(acc < t, t, q) - acc).min())
+            first = batch_assignments(spec, acc, np.zeros(1, dtype=np.int64))
+            yield first, np.array([first_end])
+            i, chunk = 1, min(2, max_chunk)
+        # bit j is 1 on the t constant terms from (-acc_j) mod q on,
+        # cyclically, and on all of them when t = q
+        flips = ((0, q), -acc % q, (t - acc) % q) if t < q else ((0, q),)
+        bounds = np.unique(np.concatenate(flips))  # bounds[1] == first_end
+        starts, lengths = bounds[:-1], np.diff(bounds)
         while i < starts.size:
             stop = min(i + chunk, starts.size)
             yield batch_assignments(spec, acc, starts[i:stop]), lengths[i:stop]
