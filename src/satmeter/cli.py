@@ -24,7 +24,7 @@ import numpy as np
 from satmeter import formula as fm
 from satmeter import oracle as orc
 from satmeter.biased import bias_profile, chou_solve
-from satmeter.hashfam import HashFamilySpec, _candidate_chunks, smallest_prime_geq
+from satmeter.hashfam import HashFamilySpec, block_values, smallest_prime_geq
 from satmeter.planar import gen_planar_instance, partition, verify_partition
 from satmeter.treedp import planar_ptas
 from satmeter.twosat import SolveResult, half_approx, ls_solve
@@ -217,18 +217,20 @@ def cmd_hashfam(args) -> int:
         raise InputError(str(exc)) from exc
     if spec.size > args.limit:
         raise InputError(f"family size {spec.size} exceeds --limit {args.limit}")
-    marginals = np.zeros(args.n, dtype=np.int64)
-    pair = 0
-    for bits, lengths in _candidate_chunks(spec, spec.n):  # one row per run
-        marginals += lengths @ bits
-        pair += int(lengths[bits[:, :2].all(axis=1)].sum())
+    # in each block bit j is 1 on the cyclic arc of t constant terms from
+    # (-acc_j) mod q, so a marginal is t per block, and x1's and x2's arcs,
+    # d apart, overlap on the count added below
+    t = spec.threshold
+    blocks = range(q ** (args.k - 1) if args.n >= 2 else 0)
+    gaps = (int(np.subtract(*block_values(spec, b)[:2])) % q for b in blocks)
+    pair = sum(max(0, t - d) + max(0, t - q + d) for d in gaps)
     report = {
         "schema_version": SCHEMA_VERSION,
         "timestamp": time.time(),
         "spec": {"n": args.n, "k": args.k, "a": args.a, "b": args.b, "q": q},
-        "threshold": spec.threshold,
+        "threshold": t,
         "family_size": spec.size,
-        "marginal_counts": marginals.tolist(),
+        "marginal_counts": [t * q ** (args.k - 1)] * args.n,
         "pair11_count_vars_1_2": pair if args.n >= 2 else None,
     }
     _emit(report)
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("hashfam", help="enumerate a hash family and stats")
+    p = sub.add_parser("hashfam", help="a hash family's size, marginals and pair count")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=int, required=True)

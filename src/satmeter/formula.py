@@ -407,7 +407,7 @@ PACK_CELL_CAP = 1 << 24
 
 @dataclass(frozen=True)
 class PackedClauses:
-    """Numpy layout for batched clause evaluation.
+    """Numpy layout that scores single rows (family index 0, ls at n = 1).
 
     ``var_idx[j, s]`` is the 0-based variable index of slot s in clause j,
     ``negated[j, s]`` whether that slot's literal is negative.  Clauses are

@@ -9,18 +9,17 @@ marginal a/b to within 1/(2q).
 ``family_search`` is the derandomized search both the 0.618 and the
 sqrt(2)/2 solvers run: walk the family in enumeration order and stop at the
 first candidate whose satisfied-clause count reaches the solver's integer
-bound.  The walk is flat: the block of candidates sharing their non-constant
-coefficients is found from its index by base-q digits.  It yields one row
-per run of identical candidates in a block (at most 2n + 1 runs of q
-candidates), so the search scores one row per run while the paper's model
-still charges one pass per candidate.  The search returns the bit row it
-scored, so ``batch_assignments`` is the one evaluator of the polynomial.
+bound.  It walks block by block, the q candidates that share their
+non-constant coefficients, and ``block_counts`` scores a block as a step
+function of the constant term in O(L log L) for L literals, while the
+paper's model still charges one pass per candidate.  ``batch_assignments``
+is the one evaluator of the polynomial: it builds the row the search picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -99,18 +98,24 @@ def field_size_for(n: int, b: int, m: int, r: int) -> int:
     return smallest_prime_geq(max(n, b, 20 * m * r, 2))
 
 
-def block_values(spec: HashFamilySpec, high_coeffs: tuple[int, ...]) -> np.ndarray:
-    """A block's polynomial without its constant term, at points 1..n.
+def block_values(spec: HashFamilySpec, block: int) -> np.ndarray:
+    """Block ``block``'s polynomial without its constant term, at points 1..n.
 
-    The functions with non-constant coefficients ``high_coeffs`` (leading
-    first) differ only in their constant term c0: entry j - 1 plus c0,
-    mod q, is the value of function c0 at point j.
+    Block i holds the functions whose k - 1 leading coefficients are the
+    base-q digits of i, most significant first, so blocks come in
+    lexicographic order.  They differ only in their constant term c0: entry
+    j - 1 plus c0, mod q, is the value of function c0 at point j.
     """
     q, n = spec.q, spec.n
+    digits = []  # least significant first
+    for _ in range(spec.k - 1):
+        block, digit = divmod(block, q)
+        digits.append(digit)
+    while digits and not digits[-1]:  # leading zeros leave acc at 0
+        digits.pop()
     points = np.arange(1, n + 1, dtype=np.int64)
     acc = np.zeros(n, dtype=np.int64)
-    lead = next((i for i, c in enumerate(high_coeffs) if c), len(high_coeffs))
-    for c in high_coeffs[lead:]:  # leading zeros leave acc at 0
+    for c in reversed(digits):
         acc = (acc * points + c) % q
     return (acc * points) % q  # still missing the constant term
 
@@ -129,57 +134,46 @@ def batch_assignments(
     return evals < spec.threshold
 
 
-# Cells one chunk of runs may span: rows times the larger of n and the
-# cells a row takes in a caller's per-row work (``row_cells``)
-CHUNK_CELLS = 1 << 20
+def _running_sum(rise: np.ndarray, fall: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of +1 events at ``rise`` and -1 events at ``fall``,
+    ascending, and the sum of the events at or below each: one sort."""
+    key = np.sort(np.concatenate((2 * rise + 1, 2 * fall)))  # a rise is odd
+    total = 2 * np.cumsum(key & 1) - np.arange(1, key.size + 1)  # rises - falls
+    key >>= 1
+    last = np.concatenate((key[1:] != key[:-1], [True]))  # a key's sum is its last
+    return key[last], total[last]
 
 
-def _candidate_chunks(
-    spec: HashFamilySpec, row_cells: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The family in order as runs of identical candidates: pairs of a bit
-    matrix, one row per run, and the runs' lengths.
+def block_counts(
+    spec: HashFamilySpec, acc: np.ndarray, formula: Formula
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block's satisfied-clause count as a step function of c0: the
+    function with constant term c0 satisfies ``counts[i]`` clauses for c0
+    from ``starts[i]`` up to the next start (or q).  ``starts[0]`` is 0.
 
-    In a block, bit j of the function with constant term c0 is 1 on the
-    cyclic interval of t values of c0 that starts at (-acc_j) mod q, so the
-    block's q candidates form at most 2n + 1 runs, split where an interval
-    starts or ends.  The walk's first run comes alone, its end one ``min``
-    over the bits' first flips, so a hit at family index 0 sorts nothing.
-    The other runs come in chunks that start at one row and double up to
-    ``CHUNK_CELLS // max(n, row_cells)`` rows (at least one), the size
-    carried across blocks and a chunk kept within one, so neither the run
-    matrices nor a caller's per-row work on them (the ``(rows, m, width)``
-    literal copy of ``count_satisfied``) grows past about ``CHUNK_CELLS``
-    cells.  Block i holds the functions whose k - 1 leading coefficients are
-    the base-q digits of i, most significant first, so blocks come in
-    lexicographic order, each found in O(k) steps.
+    Bit j is 1 on the cyclic arc of t constant terms from (-acc_j) mod q, so
+    a literal is false on one arc (that one when negative).  An arc counts
+    +1 from its start and -1 from its end (one that wraps, from 0 and to q
+    too), so a running sum in (clause, position) order counts each clause's
+    false literals, and the clause is unsatisfied where that is its width:
+    at most 2L + 1 steps for L literals, in O(L log L) time and O(L) cells.
     """
-    q, t = spec.q, spec.threshold
-    max_chunk = max(1, CHUNK_CELLS // max(spec.n, row_cells))
-    chunk = 1
-    for block in range(q ** (spec.k - 1)):
-        digits, rest = [], block
-        for _ in range(spec.k - 1):
-            rest, digit = divmod(rest, q)
-            digits.append(digit)
-        acc = block_values(spec, tuple(reversed(digits)))
-        i = 0  # the block's next run to yield
-        if chunk == 1 and t < q:
-            # bit j is acc_j + c0 < t: from c0 = 0 it first flips where
-            # acc_j + c0 reaches t (a 1) or q (a 0)
-            first_end = int((np.where(acc < t, t, q) - acc).min())
-            first = batch_assignments(spec, acc, np.zeros(1, dtype=np.int64))
-            yield first, np.array([first_end])
-            i, chunk = 1, min(2, max_chunk)
-        # bit j is 1 on the t constant terms from (-acc_j) mod q on,
-        # cyclically, and on all of them when t = q
-        flips = ((0, q), -acc % q, (t - acc) % q) if t < q else ((0, q),)
-        bounds = np.unique(np.concatenate(flips))  # bounds[1] == first_end
-        starts, lengths = bounds[:-1], np.diff(bounds)
-        while i < starts.size:
-            stop = min(i + chunk, starts.size)
-            yield batch_assignments(spec, acc, starts[i:stop]), lengths[i:stop]
-            i, chunk = stop, min(2 * chunk, max_chunk)
+    q, t, lits, widths = spec.q, spec.threshold, formula.lits, formula.widths
+    lo = (np.where(lits > 0, t, 0) - acc[np.abs(lits) - 1]) % q  # turns false
+    hi = lo + np.where(lits > 0, q - t, t)  # true again, past q if it wraps
+    wrap = hi > q
+    base = np.repeat(np.arange(formula.m) * (q + 1), widths)  # key (clause, 0)
+    key, false = _running_sum(
+        np.concatenate((base + lo, base[wrap])),
+        np.concatenate((base + np.minimum(hi, q), base[wrap] + hi[wrap] - q)),
+    )
+    clause, pos = np.divmod(key, q + 1)
+    unsat = (false == widths[clause]).astype(np.int64)
+    change = np.diff(unsat, prepend=0)  # a clause ends at 0 false literals, as it began
+    rise = np.concatenate(([0], pos[change > 0]))  # c0 = 0 starts a step: a +1 and a -1
+    fall = np.concatenate(([0], pos[change < 0]))
+    starts, unsat = _running_sum(rise, fall)
+    return starts[starts < q], formula.m - unsat[starts < q]
 
 
 @dataclass(frozen=True)
@@ -217,39 +211,41 @@ def family_search(
     """First candidate in enumeration order that satisfies at least ``need``
     clauses of ``formula``, the solver's integer bound.
 
-    The walk scores one row per run of identical candidates, so a run's
-    count is that of each of its candidates and the first run that reaches
-    ``need`` starts at the first candidate that does.  If none does before
-    the family ends or within the first ``SCAN_CAP`` candidates (the run
-    that crosses the cap is cut at it), the first maximum over the scanned
-    candidates is returned with ``fallback`` set.  Every scanned candidate,
-    not run, is charged one ``pass_label`` pass: the space model rebuilds
-    ``formula`` for each candidate it scores.
+    Family index 0, the all-ones row, is scored alone first, so a hit there
+    costs O(L).  Then blocks are scored from block 0 by ``block_counts``,
+    whose first step that reaches ``need`` starts at the first candidate
+    that does.  If none does before the family ends or within the first
+    ``SCAN_CAP`` candidates, the first maximum over the scanned candidates
+    is returned with ``fallback`` set.  Only the picked row is evaluated.
+    Every scanned candidate is charged one ``pass_label`` pass: the space
+    model rebuilds ``formula`` for each candidate it scores.
     """
-    packed = pack_clauses(formula)
-    best_count, best_index, best_row = -1, -1, None
-    scanned = 0  # candidates passed, the family index of the chunk's first run
-    for bits, lengths in _candidate_chunks(spec, packed.var_idx.size):
-        ends = scanned + np.cumsum(lengths)  # one past each run's last candidate
-        live = int(np.searchsorted(ends, SCAN_CAP)) + 1  # runs that start below the cap
-        counts = packed.count_satisfied(bits[:live])
+    q = spec.q
+    zero = np.zeros(1, dtype=np.int64)
+    row = batch_assignments(spec, block_values(spec, 0), zero)  # all ones
+    # the padded layout also bounds m * q, so block_counts' keys fit int64
+    best_count, best_index = int(pack_clauses(formula).count_satisfied(row)[0]), 0
+    blocks = min(q ** (spec.k - 1), -(-SCAN_CAP // q))  # those that start below the cap
+    for block in range(0 if best_count >= need else blocks):
+        starts, counts = block_counts(spec, block_values(spec, block), formula)
+        counts = counts[: np.searchsorted(starts, SCAN_CAP - block * q)]  # below the cap
         hits = np.flatnonzero(counts >= need)
-        run = int(hits[0]) if hits.size else int(np.argmax(counts))
-        if hits.size or counts[run] > best_count:
-            best_count, best_index = int(counts[run]), int(ends[run] - lengths[run])
-            best_row = bits[run].copy()  # a view would keep the whole chunk
+        step = int(hits[0]) if hits.size else int(np.argmax(counts))
+        if hits.size or counts[step] > best_count:
+            best_count, best_index = int(counts[step]), block * q + int(starts[step])
         if hits.size:
-            scanned = best_index + 1
             break
-        scanned = min(int(ends[-1]), SCAN_CAP)
-        if scanned == SCAN_CAP:
-            break
+    if best_index:  # evaluate only the picked row
+        block, c0 = divmod(best_index, q)
+        row = batch_assignments(spec, block_values(spec, block), zero + c0)
+    hit = best_count >= need
+    scanned = best_index + 1 if hit else min(spec.size, SCAN_CAP)
     note_pass(pass_label, scanned)
     return SearchOutcome(
-        assignment=best_row,
+        assignment=row[0].copy(),  # not a view of the (1, n) matrix
         count=best_count,
         family_index=best_index,
-        fallback=not hits.size,
+        fallback=not hit,
         scanned=scanned,
         family_size=spec.size,
         q=spec.q,

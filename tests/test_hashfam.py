@@ -1,8 +1,10 @@
 """Hash families: primes, thresholds, enumeration, independence."""
 
+import contextlib
+import io
 import itertools
+import json
 import random
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -10,12 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satmeter import hashfam
+from satmeter.cli import main
 from satmeter.formula import Formula, eval_assignment
 from satmeter.hashfam import (
-    CHUNK_CELLS,
     HashFamilySpec,
-    _candidate_chunks,
     batch_assignments,
+    block_counts,
     block_values,
     family_search,
     field_size_for,
@@ -92,9 +94,9 @@ def test_family_size_and_enumeration_order():
 
 
 def _family_rows(spec):
-    """Every member's assignment, in order, from the solvers' run walk."""
-    walk = _candidate_chunks(spec, spec.n)
-    return np.concatenate([np.repeat(bits, lengths, axis=0) for bits, lengths in walk])
+    """Every member's assignment, in order, block by block."""
+    blocks, c0 = range(spec.q ** (spec.k - 1)), np.arange(spec.q)
+    return np.concatenate([batch_assignments(spec, block_values(spec, b), c0) for b in blocks])
 
 
 def test_pairwise_marginals_exact():
@@ -140,8 +142,8 @@ def test_batch_matches_enumeration(n, k, seed):
     spec = HashFamilySpec(n=n, k=k, a=a, b=b, q=q)
     fams = list(enum_family(spec))
     rows = []
-    for high in itertools.product(range(q), repeat=k - 1):
-        rows.append(batch_assignments(spec, block_values(spec, high), np.arange(q)))
+    for block in range(q ** (k - 1)):
+        rows.append(batch_assignments(spec, block_values(spec, block), np.arange(q)))
     stacked = np.concatenate(rows, axis=0)
     assert stacked.shape == (spec.size, n)
     for f, row in zip(fams, stacked):
@@ -152,7 +154,7 @@ def test_batch_matches_enumeration(n, k, seed):
 
 def test_batch_chunking_matches_full_block():
     spec = HashFamilySpec(n=4, k=2, a=1, b=3, q=7)
-    acc = block_values(spec, (2,))
+    acc = block_values(spec, 2)  # c1 = 2
     full = batch_assignments(spec, acc, np.arange(7))
     parts = [
         batch_assignments(spec, acc, np.arange(s, min(s + 3, 7))) for s in (0, 3, 6)
@@ -180,45 +182,71 @@ def test_family_index_0_is_all_ones(n, k, q_min, seed):
     spec = HashFamilySpec(n=n, k=k, a=rng.randint(1, b), b=b, q=q)
     assert spec.threshold >= 1
     zero = np.zeros(1, dtype=np.int64)
-    row = batch_assignments(spec, block_values(spec, (0,) * (k - 1)), zero)[0]
+    row = batch_assignments(spec, block_values(spec, 0), zero)[0]
     assert row.all() and row.size == n
-    # the walk's first run is that row, alone, for its t constant terms
-    bits, lengths = next(_candidate_chunks(spec, 0))
-    assert np.array_equal(bits, row[None, :])
-    assert lengths.tolist() == [spec.threshold]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(1, 6),
-    st.sampled_from([7, 29, 101]),
+    st.sampled_from([2, 3, 5, 7, 11]),
     st.integers(1, 3),
-    st.sampled_from([(1, 2), (2, 3), (1, 7), (7, 7)]),  # t = 1 and t = q at q = 7
-    st.sampled_from([0, 2**15, 2**17, 2**19, 2**20, 2**21]),
+    st.sampled_from([0.5, 0.9]),
+    st.integers(0, 2**20),
+    st.data(),
 )
-def test_candidate_chunks_bounded_and_tiling(n, q, k, ab, row_cells):
+def test_block_counts_match_every_row(q, k, neg_share, seed, data):
+    rng = random.Random(seed)
+    n = rng.randint(1, q)
     k = min(k, n)
     if k == 3:
-        q = min(q, 29)  # 24,389 members
-    spec = HashFamilySpec(n=n, k=k, a=ab[0], b=ab[1], q=q)
-    rows, scored, scanned = [], Counter(), 0
-    for bits, lengths in _candidate_chunks(spec, row_cells):
-        assert len(bits) == len(lengths) and (lengths >= 1).all()
-        assert len(bits) == 1 or len(bits) * max(n, row_cells) <= CHUNK_CELLS
-        block = scanned // q
-        scanned += int(lengths.sum())
-        assert (scanned - 1) // q == block  # a chunk stays within one block
-        scored[block] += len(bits)
-        rows.append(np.repeat(bits, lengths, axis=0))
-    # each block scores at most 2n + 1 runs, one when every bit is 1
-    assert sorted(scored) == list(range(q ** (k - 1)))
-    assert max(scored.values()) <= (1 if spec.threshold == q else 2 * n + 1)
-    # the runs, each repeated by its length, cover the family once, in order
-    highs = itertools.product(range(q), repeat=k - 1)
-    whole = [
-        batch_assignments(spec, block_values(spec, high), np.arange(q)) for high in highs
-    ]
-    assert np.array_equal(np.concatenate(rows), np.concatenate(whole))
+        q = min(q, 7)  # 343 members
+        n = min(n, q)
+    t = data.draw(st.one_of(st.just(1), st.just(q), st.integers(1, q)), label="t")
+    spec = HashFamilySpec(n=n, k=k, a=t, b=q, q=q)
+    assert spec.threshold == t
+    clauses = []
+    for _ in range(rng.randint(1, 10)):
+        vs = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+        clauses.append(tuple(-v if rng.random() < neg_share else v for v in vs))
+    clauses += rng.choices(clauses, k=rng.randint(0, 3))  # duplicates count
+    formula = Formula(n=n, clauses=tuple(clauses))
+    family = []
+    for block in range(q ** (k - 1)):  # block 0 has acc = 0
+        acc = block_values(spec, block)
+        starts, counts = block_counts(spec, acc, formula)
+        assert starts[0] == 0 and (np.diff(starts) > 0).all() and starts[-1] < q
+        assert starts.size <= 2 * formula.lits.size + 1
+        steps = np.repeat(counts, np.diff(starts, append=q))
+        rows = batch_assignments(spec, acc, np.arange(q))
+        assert steps.tolist() == [eval_assignment(formula, row) for row in rows]
+        family.extend(steps.tolist())
+    # the blocks' steps, each repeated by its length, cover the family once, in order
+    members = enum_family(spec)
+    assert family == [eval_assignment(formula, assignment_from_hash(f, n)) for f in members]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.sampled_from([7, 11, 13]),
+    st.booleans(),  # a = b: t = q
+    st.integers(0, 2**20),
+)
+def test_hashfam_counts_match_enumeration(n, k, q, all_ones, seed):
+    rng = random.Random(seed)
+    k = min(k, n)
+    b = rng.randint(1, q)
+    a = b if all_ones else rng.randint(1, b)
+    argv = ["hashfam", "--n", n, "--k", k, "--a", a, "--b", b, "--q", q]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([str(x) for x in argv]) == 0
+    rep = json.loads(out.getvalue())
+    spec = HashFamilySpec(n=n, k=k, a=a, b=b, q=q)
+    rows = np.array([assignment_from_hash(f, n) for f in enum_family(spec)])
+    assert rep["marginal_counts"] == rows.sum(axis=0).tolist()
+    pair = np.count_nonzero(rows[:, 0] & rows[:, 1]) if n >= 2 else None
+    assert rep["pair11_count_vars_1_2"] == pair
 
 
 @settings(max_examples=80, deadline=None)
@@ -263,3 +291,16 @@ def test_family_search_matches_plain_scan(q, k, scan_cap, neg_share, seed):
     assert out.assignment.dtype == bool and out.assignment.base is None  # not a chunk view
     assert out.count == counts[out.family_index]
     assert (out.family_size, out.q, out.threshold_desc) == (spec.size, q, "test")
+
+
+@pytest.mark.parametrize("scan_cap, hit", [(5, False), (6, True)])
+def test_family_search_cap_cuts_at_a_step_start(scan_cap, hit):
+    # block 0 is all ones below c0 = t and all zeros from t on, so the
+    # all-negative formula's first hit starts a step at family index t
+    spec = HashFamilySpec(n=3, k=2, a=5, b=11, q=11)
+    formula = Formula(n=3, clauses=((-1,), (-2, -3), (-3,)))
+    with meter_scope("search"), mock.patch.object(hashfam, "SCAN_CAP", scan_cap):
+        out = family_search(spec, formula, formula.m, "test", "clauses")
+    assert spec.threshold == 5
+    assert (out.fallback, out.scanned) == (not hit, scan_cap)
+    assert (out.family_index, out.count) == ((5, 3) if hit else (0, 0))
